@@ -36,15 +36,7 @@ from .net import (
     write_net,
 )
 from .codec import canonical_poly, decode, encode, roundtrip_check
-from .factor import (
-    CoeffGrid,
-    decompose,
-    decompose_net,
-    is_prime_net,
-    project_grid,
-    rank1_nat_factor,
-    split_once,
-)
+from .factor import decompose, decompose_net, is_prime_net, split_once
 
 __all__ = [
     "__version__",
@@ -56,6 +48,5 @@ __all__ = [
     "product", "attach", "are_isomorphic", "to_dot",
     "net_document", "write_net", "read_net",
     "encode", "decode", "canonical_poly", "roundtrip_check",
-    "CoeffGrid", "project_grid", "rank1_nat_factor",
     "split_once", "decompose", "decompose_net", "is_prime_net",
 ]

@@ -7,7 +7,6 @@ stderr.  Exit codes: 0 success (and isomorphic), 1 not isomorphic,
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -25,9 +24,7 @@ from .net import (
     validate,
     write_net,
 )
-from .polynomial import parse_poly, print_poly, tau_poly
-
-DEFAULT_MAX_SUPPORT = 16
+from .polynomial import parse_poly, print_poly
 
 
 class _UsageError(Exception):
@@ -75,14 +72,6 @@ def _poly_inputs(args, want):
     if len(texts) != want:
         raise _UsageError(f"expected {want} polynomial input(s), got {len(texts)}")
     return [parse_poly(text) for text in texts]
-
-
-def _support_cap():
-    raw = os.environ.get("PPN_MAX_SUPPORT", str(DEFAULT_MAX_SUPPORT))
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"PPN_MAX_SUPPORT must be an integer, got {raw!r}") from None
 
 
 def _cmd_encode(args):
@@ -139,12 +128,6 @@ def _cmd_decompose(args):
         labels = _ensure_labels(n, labels)
         _warn_isolated(n)
         poly = encode(n, labels)
-    cap = _support_cap()
-    if len(tau_poly(poly)) > cap:
-        raise PreconditionError(
-            f"support has {len(tau_poly(poly))} bit positions, more than "
-            f"PPN_MAX_SUPPORT={cap}; raise the limit to force the search"
-        )
     factors = decompose(poly)
     for factor in factors:
         print(print_poly(factor))
@@ -232,9 +215,7 @@ def build_parser():
     p = sub.add_parser(
         "decompose",
         help="prime factors, one per line",
-        description="Factor a polynomial, or a net via its encoding, into primes. "
-                    "The support size is capped by PPN_MAX_SUPPORT (default "
-                    f"{DEFAULT_MAX_SUPPORT}) because the search is exponential.",
+        description="Factor a polynomial, or a net via its encoding, into primes.",
     )
     p.add_argument("-p", "--poly", metavar="POLY", help="inline polynomial")
     p.add_argument("net", nargs="?", help="net JSON file")

@@ -1,92 +1,35 @@
 """Prime factorization of polynomials (and nets) by support splitting.
 
-A nonzero polynomial with positive constant term splits as P1 * P2 with
-disjoint binary supports exactly when, for some bipartition of its
-support, the grid of coefficients indexed by the two projections of
-each monomial is complete and rank one over the positive integers.
-Constant factors escape that picture (their support is empty), so
-integer prime content is pulled out separately.  Recursion over the two
-parts yields prime factors; at the net level this realizes the
-decomposition of a net into prime components of the synchronization
-product.
+Write F|_M for the terms of F whose exponents use only bits of the mask
+M.  A nonzero polynomial F with coprime coefficients and constant term
+c >= 1 splits as P * Q with disjoint binary supports exactly when
+c*F == F|_B * F|_R for some bipartition (B, R) of its support.
+split_once grows B from the lowest support bit.  While B falls short of
+the support of the prime factor G that holds it, with H the cofactor of
+G, c*F - F|_B * F|_R equals H(0) * H * E, where E is nonzero, lives on
+G's bits and has no monomial inside B.  The product is carry-free, so
+nothing cancels, and the differing monomials with the fewest bits are
+those of E: each lies within G's bits and adds at least one bit to B.  Constant factors
+escape that picture (their support is empty), so integer prime content
+is pulled out separately.  Recursion over the two parts yields prime
+factors; at the net level this realizes the decomposition of a net into
+prime components of the synchronization product.
 """
 
-from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, isqrt
 from typing import Optional
 
 from .codec import decode, encode
 from .errors import PreconditionError
 from .net import PetriNet
-from .polynomial import ONE, Polynomial, nat_of_bits, tau_poly
+from .polynomial import ONE, Polynomial, nat_of_bits
 
 __all__ = [
-    "CoeffGrid",
-    "project_grid",
-    "rank1_nat_factor",
     "split_once",
     "decompose",
     "decompose_net",
     "is_prime_net",
 ]
-
-
-@dataclass(frozen=True)
-class CoeffGrid:
-    """Coefficients of a polynomial arranged by a support bipartition.
-
-    ``rows`` and ``cols`` hold the distinct projections of the monomials
-    onto the two sides, as (x-exponent, y-exponent) pairs in ascending
-    graded order; ``cells`` maps (row index, col index) to the
-    coefficient; ``complete`` says whether every cell is filled.
-    """
-
-    rows: tuple
-    cols: tuple
-    cells: dict
-    complete: bool
-
-
-def _graded(monomial):
-    i, j = monomial
-    return i + j, i
-
-
-def project_grid(poly: Polynomial, s1, s2) -> CoeffGrid:
-    """Arrange the coefficients of ``poly`` by the bipartition (s1, s2).
-
-    Each monomial's exponents are masked down to the bit positions of
-    each side; because the sides partition the support, the pair of
-    projections determines the monomial, so no two monomials share a
-    cell.
-    """
-    s1, s2 = frozenset(s1), frozenset(s2)
-    if s1 & s2 or (s1 | s2) != tau_poly(poly):
-        raise PreconditionError("the two sides must partition the polynomial's support")
-    m1, m2 = nat_of_bits(s1), nat_of_bits(s2)
-    projected = {
-        ((i & m1, j & m1), (i & m2, j & m2)): coeff
-        for (i, j), coeff in poly.terms.items()
-    }
-    rows = tuple(sorted({left for left, _ in projected}, key=_graded))
-    cols = tuple(sorted({right for _, right in projected}, key=_graded))
-    row_index = {m: r for r, m in enumerate(rows)}
-    col_index = {m: c for c, m in enumerate(cols)}
-    cells = {(row_index[left], col_index[right]): coeff
-             for (left, right), coeff in projected.items()}
-    return CoeffGrid(rows, cols, cells, len(cells) == len(rows) * len(cols))
-
-
-def _divisors(n):
-    """Divisors of a positive integer, ascending."""
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
 
 
 def _smallest_prime_factor(n):
@@ -96,58 +39,21 @@ def _smallest_prime_factor(n):
     return n
 
 
-def rank1_nat_factor(grid: CoeffGrid) -> Optional[tuple]:
-    """Positive-integer weights (b, c) with cell(r, c) = b[r]*c[c], or None.
-
-    Weights are only determined up to a reciprocal scaling; the pair
-    returned fixes c at the anchor column (the (0,0) column when
-    present) to the smallest divisor of the anchor cell that works.
-    """
-    if not grid.complete or not grid.rows or not grid.cols:
-        return None
-    if any(v < 1 for v in grid.cells.values()):
-        return None
-    r0 = grid.rows.index((0, 0)) if (0, 0) in grid.rows else 0
-    c0 = grid.cols.index((0, 0)) if (0, 0) in grid.cols else 0
-    anchor = grid.cells[(r0, c0)]
-    column = [grid.cells[(r, c0)] for r in range(len(grid.rows))]
-    row = [grid.cells[(r0, c)] for c in range(len(grid.cols))]
-    for t in _divisors(anchor):
-        if any(v % t for v in column):
-            continue
-        if any(v * t % anchor for v in row):
-            continue
-        b = [v // t for v in column]
-        c = [v * t // anchor for v in row]
-        if all(b[r] * c[col] == coeff for (r, col), coeff in grid.cells.items()):
-            return tuple(b), tuple(c)
-    return None
-
-
-def _bipartitions(support):
-    """Unordered bipartitions of the support into two nonempty sides.
-
-    Each pair appears once, with the side containing the lowest bit
-    first; pairs come out ascending by that side's size, then value.
-    """
-    bits = sorted(support)
-    if len(bits) < 2:
-        return
-    lowest, rest = bits[0], bits[1:]
-    for size in range(len(rest)):
-        for extra in combinations(rest, size):
-            s1 = frozenset((lowest, *extra))
-            yield s1, frozenset(rest) - s1
+def _restrict(poly, mask):
+    """F|_mask: the terms of ``poly`` whose exponents use only bits of ``mask``."""
+    return Polynomial({(i, j): a for (i, j), a in poly.terms.items() if not (i | j) & ~mask})
 
 
 def split_once(poly: Polynomial) -> Optional[tuple]:
     """One nontrivial factorization step, or None when ``poly`` is prime.
 
-    First pulls out the smallest prime dividing all coefficients; then
-    searches the canonical bipartitions of the support for a complete
-    rank-one coefficient grid and rebuilds the two factors from its
-    weights.  Any returned pair multiplies back exactly, has disjoint
-    supports, and has positive constant terms on both sides.
+    First pulls out the smallest prime dividing all coefficients.  Then,
+    with c the constant term, grows a block B from the lowest support
+    bit until c*F == F|_B * F|_R, R being the rest of the support: each
+    failed check ORs into B the bits of the differing monomials with the
+    fewest bits, so there are at most as many checks as support bits.
+    Any returned pair multiplies back exactly, has disjoint supports,
+    and has positive constant terms on both sides.
     """
     if not poly or poly.constant_term < 1:
         raise PreconditionError("need a nonzero polynomial with positive constant term")
@@ -157,12 +63,24 @@ def split_once(poly: Polynomial) -> Optional[tuple]:
         quotient = Polynomial({key: a // p for key, a in poly.terms.items()})
         if quotient != ONE:  # dividing a prime constant by itself leaves the unit
             return Polynomial.constant(p), quotient
-    for s1, s2 in _bipartitions(tau_poly(poly)):
-        grid = project_grid(poly, s1, s2)
-        weights = rank1_nat_factor(grid)
-        if weights is not None:
-            b, c = weights
-            return (Polynomial(zip(grid.rows, b)), Polynomial(zip(grid.cols, c)))
+    c = poly.constant_term
+    scaled = poly * Polynomial.constant(c)
+    full = nat_of_bits(poly.support())
+    block = full & -full
+    while block != full:
+        inside, outside = _restrict(poly, block), _restrict(poly, full & ~block)
+        product = inside * outside
+        if product == scaled:
+            # poly is primitive here, so c == gcd(inside) * gcd(outside)
+            # and both divisions are exact
+            g = gcd(*inside.terms.values())
+            return (Polynomial({key: a // g for key, a in inside.terms.items()}),
+                    Polynomial({key: a * g // c for key, a in outside.terms.items()}))
+        differing = [i | j for (i, j), _ in scaled.terms.items() ^ product.terms.items()]
+        fewest = min(m.bit_count() for m in differing)
+        for m in differing:
+            if m.bit_count() == fewest:
+                block |= m
     return None
 
 

@@ -13,6 +13,7 @@ exploits.
 """
 
 from collections.abc import Iterable, Mapping
+from functools import total_ordering
 from types import MappingProxyType
 
 from .errors import ParseError
@@ -60,6 +61,7 @@ def nat_of_bits(bits: Iterable[int]) -> int:
     return total
 
 
+@total_ordering
 class Polynomial:
     """Immutable sparse polynomial with natural-number coefficients.
 
@@ -105,10 +107,10 @@ class Polynomial:
 
     def support(self) -> frozenset[int]:
         """Union of the binary supports of all exponents."""
-        bits: frozenset[int] = frozenset()
+        mask = 0
         for i, j in self._terms:
-            bits |= tau_nat(i) | tau_nat(j)
-        return bits
+            mask |= i | j
+        return tau_nat(mask)
 
     def sort_key(self) -> tuple:
         """Key realizing the total order of :func:`compare`.
@@ -152,21 +154,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.sort_key() >= other.sort_key()
 
     def __str__(self):
         return print_poly(self)

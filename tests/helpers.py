@@ -1,17 +1,17 @@
 """Shared generators and independent oracles.
 
-The oracles deliberately use different algorithms (and different
-normalizations) than the library so that agreement actually means
-something: isomorphism by exhaustive search over all condition
-bijections, rank-1 grid factorization anchored on the first row's gcd,
-and decomposability by a from-scratch bipartition sweep.
+The oracles deliberately use different algorithms than the library so
+that agreement actually means something: isomorphism by exhaustive
+search over all condition bijections, and decomposability by a sweep
+over every support bipartition that looks for a complete rank-1 grid of
+coefficients.
 """
 
 from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 
-from petripoly import Event, PetriNet, are_isomorphic, nat_of_bits, tau_poly
+from petripoly import ONE, Event, PetriNet, Polynomial, are_isomorphic, nat_of_bits, tau_poly
 
 
 # --------------------------------------------------------------- oracles
@@ -40,8 +40,7 @@ def naive_divisors(n):
 def rank1_oracle(cells):
     """Positive row/col weights for a {(r, c): value} grid, or None.
 
-    Enumerates the first row weight over divisors of the first row's
-    gcd — a different anchor than the library's divisor search.
+    Enumerates the first row weight over divisors of the first row's gcd.
     """
     nrows = 1 + max(r for r, _ in cells)
     ncols = 1 + max(c for _, c in cells)
@@ -163,6 +162,19 @@ def random_poly_terms(rng, max_support=6, max_terms=5, max_coeff=9):
         j = mask & rng.getrandbits(max_support)
         terms[(i, j)] = rng.randint(1, max_coeff)
     return terms
+
+
+def random_product(rng, max_support=8):
+    """A product of 2-3 random polynomials on disjoint random sets of bit
+    positions inside {0, ..., max_support-1}, so that it usually splits."""
+    bits = rng.sample(range(max_support), max_support)
+    cuts = sorted(rng.sample(range(1, max_support), rng.randint(1, 2)))
+    out = ONE
+    for lo, hi in zip([0, *cuts], [*cuts, max_support]):
+        mask = nat_of_bits(bits[lo:hi])
+        terms = random_poly_terms(rng, max_support)
+        out = out * Polynomial(((i & mask, j & mask), a) for (i, j), a in terms.items())
+    return out
 
 
 def rename_conditions(net, mapping):

@@ -176,15 +176,10 @@ def test_decompose_requires_one_input(relay_file, capsys):
     assert run(["decompose", "-p", "1", relay_file]) == 2
 
 
-def test_decompose_support_cap(monkeypatch, capsys):
-    wide = "+".join(f"x^{2**t}" for t in range(17)) + "+1"
-    assert run(["decompose", "-p", wide]) == 3
-    assert "PPN_MAX_SUPPORT" in capsys.readouterr().err
-    monkeypatch.setenv("PPN_MAX_SUPPORT", "17")
-    assert run(["decompose", "-p", wide]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("PPN_MAX_SUPPORT", "not-a-number")
-    assert run(["decompose", "-p", "x+1"]) == 2
+def test_decompose_wide_prime_chain(capsys):
+    chain = " + ".join(f"x^{2**t}*y^{2**(t + 1)}" for t in range(63)) + " + 1"
+    assert run(["decompose", "-p", chain]) == 0
+    assert capsys.readouterr().out.count("\n") == 1
 
 
 def test_iso_identity(relay_file, capsys):

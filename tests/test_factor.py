@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -16,103 +17,18 @@ from petripoly import (
     is_prime_net,
     parse_poly,
     product,
-    project_grid,
-    rank1_nat_factor,
     split_once,
+    tau_poly,
 )
-from petripoly.factor import CoeffGrid
 
 from helpers import (
     match_up_to_iso,
     rename_conditions,
     random_net,
     random_poly_terms,
-    rank1_oracle,
+    random_product,
     splits_oracle,
 )
-
-
-# ------------------------------------------------------------ project_grid
-
-def test_project_grid_two_by_two():
-    grid = project_grid(parse_poly("x + x*y^2 + y^2 + 1"), {0}, {1})
-    assert grid.rows == ((0, 0), (1, 0))
-    assert grid.cols == ((0, 0), (0, 2))
-    assert grid.cells == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    assert grid.complete
-
-
-def test_project_grid_unit():
-    grid = project_grid(ONE, set(), set())
-    assert grid.rows == ((0, 0),) and grid.cols == ((0, 0),)
-    assert grid.cells == {(0, 0): 1}
-    assert grid.complete
-
-
-def test_project_grid_with_hole():
-    grid = project_grid(parse_poly("x + y^2 + 1"), {0}, {1})
-    assert len(grid.rows) == 2 and len(grid.cols) == 2
-    assert len(grid.cells) == 3
-    assert not grid.complete
-
-
-def test_project_grid_rejects_bad_bipartition():
-    poly = parse_poly("x + y^2 + 1")
-    with pytest.raises(PreconditionError):
-        project_grid(poly, {0}, {0, 1})  # overlap
-    with pytest.raises(PreconditionError):
-        project_grid(poly, {0}, set())  # does not cover
-
-
-# -------------------------------------------------------- rank-1 weights
-
-def _grid(rows):
-    cells = {
-        (r, c): value for r, row in enumerate(rows) for c, value in enumerate(row)
-    }
-    keys_r = tuple((r + 1, 0) for r in range(len(rows)))
-    keys_c = tuple((0, c + 1) for c in range(len(rows[0])))
-    return CoeffGrid(keys_r, keys_c, cells, True)
-
-
-def test_rank1_all_ones():
-    assert rank1_nat_factor(_grid([[1, 1], [1, 1]])) == ((1, 1), (1, 1))
-
-
-def test_rank1_scaled():
-    grid = _grid([[2, 4], [3, 6]])
-    b, c = rank1_nat_factor(grid)
-    assert all(b[r] * c[col] == grid.cells[(r, col)] for (r, col) in grid.cells)
-
-
-def test_rank1_cross_ratio_fails():
-    assert rank1_nat_factor(_grid([[1, 2], [3, 1]])) is None
-
-
-def test_rank1_incomplete_grid():
-    grid = CoeffGrid(((0, 0), (1, 0)), ((0, 0), (0, 1)), {(0, 0): 1}, False)
-    assert rank1_nat_factor(grid) is None
-
-
-def test_rank1_agrees_with_oracle():
-    rng = random.Random(3)
-    for _ in range(200):
-        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-        if rng.random() < 0.5:  # force a true rank-1 instance
-            b = [rng.randint(1, 10) for _ in range(nrows)]
-            c = [rng.randint(1, 10) for _ in range(ncols)]
-            rows = [[b[r] * c[col] for col in range(ncols)] for r in range(nrows)]
-        else:
-            rows = [
-                [rng.randint(1, 100) for _ in range(ncols)] for _ in range(nrows)
-            ]
-        grid = _grid(rows)
-        got = rank1_nat_factor(grid)
-        expected = rank1_oracle(grid.cells)
-        assert (got is None) == (expected is None)
-        if got is not None:
-            b, c = got
-            assert all(b[r] * c[col] == grid.cells[(r, col)] for (r, col) in grid.cells)
 
 
 # -------------------------------------------------------------- split_once
@@ -154,8 +70,9 @@ def test_split_rejects_bad_inputs():
 
 def test_split_verdict_matches_oracle():
     rng = random.Random(5)
-    for _ in range(150):
-        poly = Polynomial(random_poly_terms(rng, max_support=4))
+    polys = [Polynomial(random_poly_terms(rng, max_support=4)) for _ in range(150)]
+    polys += [random_product(rng) for _ in range(60)]
+    for poly in polys:
         assert (split_once(poly) is not None) == splits_oracle(poly)
 
 
@@ -212,6 +129,20 @@ def test_decompose_factors_are_prime_and_multiply_back():
         for a in range(len(factors)):
             for b in range(a + 1, len(factors)):
                 assert disjoint_support(factors[a], factors[b])
+
+
+def test_decompose_product_of_many_primes():
+    rng = random.Random(23)
+    primes = []
+    while len(primes) < 10:  # the k-th prime has support {2k, 2k+1}
+        poly = Polynomial(random_poly_terms(rng, max_support=2, max_terms=2, max_coeff=3))
+        if tau_poly(poly) == {0, 1} and gcd(*poly.terms.values()) == 1 and not splits_oracle(poly):
+            k = 2 * len(primes)
+            primes.append(Polynomial({(i << k, j << k): a for (i, j), a in poly.terms.items()}))
+    whole = ONE
+    for prime in primes:
+        whole = whole * prime
+    assert decompose(whole) == sorted(primes)
 
 
 def test_decompose_sorted_by_term_order():

@@ -234,9 +234,11 @@ def test_compare_prefix_is_smaller():
 
 @given(polys, polys)
 def test_compare_antisymmetric(p, q):
-    assert compare(p, q) == -compare(q, p)
-    if compare(p, q) == 0:
+    c = compare(p, q)
+    assert c == -compare(q, p)
+    if c == 0:
         assert p == q
+    assert (p < q, p <= q, p > q, p >= q) == (c < 0, c <= 0, c > 0, c >= 0)
 
 
 @given(polys, polys, polys)
