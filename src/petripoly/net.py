@@ -308,27 +308,27 @@ def read_net(text: str):
     """Parse the JSON net document; return (net, labeling or None).
 
     Labels are all-or-none across conditions and must be distinct
-    naturals.  Duplicate ids and references to unknown conditions are
-    rejected here, so every net this returns passes :func:`validate`
-    without hard errors.
+    naturals.  Duplicate condition ids are rejected here, and the net
+    is checked with :func:`validate`, so every net this returns passes
+    it without hard errors.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "net document must be a JSON object")
     for key in ("conditions", "events"):
         _require(key in doc, f"net document is missing {key!r}")
         _require(isinstance(doc[key], list), f"{key!r} must be an array")
 
-    condition_ids = []
+    condition_ids = set()
     labels = {}
     for entry in doc["conditions"]:
         _require(isinstance(entry, dict), "each condition must be an object")
         b = entry.get("id")
         _require(isinstance(b, str), "condition id must be a string")
         _require(b not in condition_ids, f"duplicate condition id {b!r}")
-        condition_ids.append(b)
+        condition_ids.add(b)
         if "label" in entry:
             label = entry["label"]
             _require(
@@ -342,24 +342,19 @@ def read_net(text: str):
         raise NetStructureError("condition labels must be distinct")
 
     events = []
-    event_ids = set()
     for entry in doc["events"]:
         _require(isinstance(entry, dict), "each event must be an object")
         e = entry.get("id")
         _require(isinstance(e, str), "event id must be a string")
-        _require(e not in event_ids, f"duplicate event id {e!r}")
-        event_ids.add(e)
         sides = {}
         for side in ("pre", "post"):
             refs = entry.get(side)
             _require(isinstance(refs, list), f"event {e!r} needs a {side!r} array")
             for b in refs:
                 _require(isinstance(b, str), f"event {e!r}: {side} entries must be strings")
-                _require(
-                    b in condition_ids,
-                    f"event {e!r} references unknown condition {b!r}",
-                )
             sides[side] = refs
         events.append(Event(e, sides["pre"], sides["post"]))
 
-    return PetriNet(condition_ids, events), (labels or None)
+    net = PetriNet(condition_ids, events)
+    validate(net)
+    return net, (labels or None)

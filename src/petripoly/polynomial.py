@@ -12,6 +12,7 @@ which is what the factorization machinery in :mod:`petripoly.factor`
 exploits.
 """
 
+import re
 from collections.abc import Iterable, Mapping
 from functools import total_ordering
 from types import MappingProxyType
@@ -88,18 +89,10 @@ class Polynomial:
     def constant(cls, value: int) -> "Polynomial":
         return cls({(0, 0): value})
 
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff: int = 1) -> "Polynomial":
-        return cls({(i, j): coeff})
-
     @property
     def terms(self) -> Mapping[tuple[int, int], int]:
         """Read-only view of the (exponent pair -> coefficient) mapping."""
         return MappingProxyType(self._terms)
-
-    def coefficient(self, i: int, j: int) -> int:
-        """Coefficient of ``x^i y^j`` (0 when the monomial is absent)."""
-        return self._terms.get((i, j), 0)
 
     @property
     def constant_term(self) -> int:
@@ -206,112 +199,52 @@ def print_poly(p: Polynomial) -> str:
     return " + ".join(parts)
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            end = pos + 1
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            tokens.append(("nat", int(text[pos:end]), pos))
-            pos = end
-        elif ch in "xy":
-            tokens.append(("var", ch, pos))
-            pos += 1
-        elif ch in "^*+":
-            tokens.append((ch, ch, pos))
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {pos}", position=pos)
-    return tokens
+_NUMBER = re.compile(r"\s*([0-9]+)\s*")
+_POWER = re.compile(r"\s*([xy])(?:\s*\^\s*([0-9]+))?\s*")
 
 
-class _PolyParser:
-    """Recursive descent over: poly := term ('+' term)*,
-    term := nat | nat '*' factors | factors,
-    factors := factor ('*' factor)*, factor := ('x'|'y') ('^' nat)?.
-    """
-
-    def __init__(self, text):
-        self._tokens = _tokenize(text)
-        self._end = len(text)
-        self._k = 0
-
-    def _peek(self):
-        if self._k < len(self._tokens):
-            return self._tokens[self._k]
-        return ("end", None, self._end)
-
-    def _advance(self):
-        token = self._peek()
-        self._k += 1
-        return token
-
-    def _fail(self, expected):
-        kind, _, pos = self._peek()
-        found = "end of input" if kind == "end" else f"{kind!r}"
-        raise ParseError(f"expected {expected} at position {pos}, found {found}", position=pos)
-
-    def parse(self):
-        terms: dict[tuple[int, int], int] = {}
-        while True:
-            coeff, i, j = self._term()
-            if coeff:
-                terms[(i, j)] = terms.get((i, j), 0) + coeff
-            kind, _, _ = self._peek()
-            if kind == "end":
-                return Polynomial(terms)
-            if kind != "+":
-                self._fail("'+' or end of input")
-            self._advance()
-
-    def _term(self):
-        kind, value, _ = self._peek()
-        if kind == "nat":
-            self._advance()
-            if self._peek()[0] == "*":
-                self._advance()
-                i, j = self._factors()
-                return value, i, j
-            return value, 0, 0
-        if kind == "var":
-            i, j = self._factors()
-            return 1, i, j
-        self._fail("a term")
-
-    def _factors(self):
-        i, j = self._factor(0, 0)
-        while self._peek()[0] == "*":
-            self._advance()
-            i, j = self._factor(i, j)
-        return i, j
-
-    def _factor(self, i, j):
-        kind, value, _ = self._peek()
-        if kind != "var":
-            self._fail("'x' or 'y'")
-        self._advance()
-        exponent = 1
-        if self._peek()[0] == "^":
-            self._advance()
-            kind, nat, _ = self._peek()
-            if kind != "nat":
-                self._fail("an exponent")
-            self._advance()
-            exponent = nat
-        if value == "x":
-            return i + exponent, j
-        return i, j + exponent
+def _nat(match, group, position):
+    digits = match[group]
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        at = position + match.start(group)
+        raise ParseError(
+            f"number at position {at} is too long ({len(digits)} digits)", position=at
+        ) from None
 
 
 def parse_poly(text: str) -> Polynomial:
     """Parse the ASCII polynomial syntax, e.g. ``"x^3*y^3 + 2*x^2 + y + 2"``.
 
-    Raises :class:`ParseError` (with a character position) on anything
-    outside the grammar; repeated variables within a term multiply.
+    Grammar: terms joined by ``+``; a term is factors joined by ``*``; a
+    factor is a number (a term's first factor only) or ``x``/``y`` with
+    an optional ``^`` exponent; blanks are allowed around every symbol.
+    Repeated variables within a term multiply.  Raises
+    :class:`ParseError` at the first malformed factor, with the position
+    of its first non-blank character (for an empty factor, of the
+    separator or end of text after it).
     """
-    return _PolyParser(text).parse()
+    terms: dict[tuple[int, int], int] = {}
+    position = 0
+    for term in text.split("+"):
+        coeff, i, j = 1, 0, 0
+        for k, factor in enumerate(term.split("*")):
+            number = k == 0 and _NUMBER.fullmatch(factor)
+            if number:
+                coeff = _nat(number, 1, position)
+            elif power := _POWER.fullmatch(factor):
+                exponent = _nat(power, 2, position) if power[2] else 1
+                if power[1] == "x":
+                    i += exponent
+                else:
+                    j += exponent
+            else:
+                stripped = factor.strip()
+                at = position + len(factor) - len(factor.lstrip())
+                found = f"malformed factor {stripped!r}" if stripped else "empty factor"
+                raise ParseError(f"{found} at position {at}", position=at)
+            position += len(factor) + 1
+        if coeff:
+            terms[(i, j)] = terms.get((i, j), 0) + coeff
+    return Polynomial(terms)

@@ -2,11 +2,13 @@
 
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
-search over all condition bijections, and decomposability by a sweep
-over every support bipartition that looks for a complete rank-1 grid of
-coefficients.
+search over all condition bijections, decomposability by a sweep over
+every support bipartition that looks for a complete rank-1 grid of
+coefficients, and polynomial text by one regular expression per whole
+term rather than by splitting on separators.
 """
 
+import re
 from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
@@ -31,6 +33,42 @@ def iso_oracle(n1, n2):
         if image == target:
             return True
     return False
+
+
+_ORACLE_POWER = r"\s*[xy](?:\s*\^\s*[0-9]+)?\s*"
+_ORACLE_POWERS = rf"{_ORACLE_POWER}(?:\*{_ORACLE_POWER})*"
+_ORACLE_TERM = re.compile(
+    rf"(?:\s*([0-9]+)\s*(?:\*({_ORACLE_POWERS}))?|({_ORACLE_POWERS}))(\+|\Z)"
+)
+
+
+def parse_oracle(text):
+    """Terms of polynomial text as a dict, or None outside the grammar.
+
+    Matches one whole term (coefficient, then '*'-joined powers, then '+'
+    or end of text) at a time from the start, and reads the powers of a
+    term with findall.
+    """
+    terms = {}
+    pos = 0
+    while True:
+        m = _ORACLE_TERM.match(text, pos)
+        if m is None:
+            return None
+        coeff, after_coeff, alone, sep = m.groups()
+        i = j = 0
+        powers = after_coeff or alone or ""
+        for var, exponent in re.findall(r"([xy])(?:\s*\^\s*([0-9]+))?", powers):
+            if var == "x":
+                i += int(exponent or 1)
+            else:
+                j += int(exponent or 1)
+        a = int(coeff) if coeff else 1
+        if a:
+            terms[(i, j)] = terms.get((i, j), 0) + a
+        if not sep:
+            return terms
+        pos = m.end()
 
 
 def naive_divisors(n):

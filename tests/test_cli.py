@@ -112,6 +112,28 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["mul", "-p", "x^²", "-p", "1"], None),
+        (["decode"], b"x+\xff"),
+        (["validate"], b"\xff\xfe{"),
+        (["validate"], b"[" * 100_000),
+    ],
+    ids=["superscript-digit", "non-utf8-poly", "non-utf8-net", "deep-json"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
+    if content is not None:
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        argv = [*argv, str(path)]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
 def test_mul_and_add(capsys):
     assert run(["mul", "-p", "x+1", "-p", "y^2+1"]) == 0
     assert capsys.readouterr().out == "x*y^2 + y^2 + x + 1\n"

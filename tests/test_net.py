@@ -322,5 +322,6 @@ def test_read_net_rejects_bad_documents(doc):
 
 
 def test_read_net_rejects_bad_json():
-    with pytest.raises(ParseError):
-        read_net("{not json")
+    for text in ("{not json", "[" * 100_000):
+        with pytest.raises(ParseError):
+            read_net(text)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from petripoly import (
     tau_nat,
     tau_poly,
 )
+
+from helpers import parse_oracle
 
 exponents = st.integers(min_value=0, max_value=2**32 - 1)
 coefficients = st.integers(min_value=0, max_value=2**16 - 1)
@@ -184,11 +188,35 @@ def test_parse_ignores_whitespace():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "x^", "2x", "x*2", "x+", "+x", "x**y", "x^-1", "z", "(x+1)"]
+    "bad",
+    ["", "x^", "2x", "x*2", "x+", "+x", "x**y", "x^-1", "z", "(x+1)",
+     "x^²", "x^٣", "x^2y^8", "x y"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_poly(bad)
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="the interpreter has no int-string limit",
+)
+def test_parse_rejects_number_beyond_int_limit():
+    with pytest.raises(ParseError):
+        parse_poly("x^" + "1" * (sys.get_int_max_str_digits() + 1))
+
+
+@given(st.text(alphabet="xy0123^*+ \n²٣$", max_size=40))
+@settings(max_examples=500)
+def test_parse_matches_oracle(text):
+    expected = parse_oracle(text)
+    try:
+        parsed = parse_poly(text)
+    except ParseError as exc:
+        assert expected is None
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert parsed.terms == expected
 
 
 def test_parse_error_carries_position():
