@@ -189,27 +189,19 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
     return net, labeling
 
 
-def _condition_signature(net, b):
-    """Isomorphism-invariant fingerprint of one condition: the sorted
-    (|pre|, |post|) profiles of the events it feeds and is fed by."""
-    as_pre = sorted((len(e.pre), len(e.post)) for e in net.events if b in e.pre)
-    as_post = sorted((len(e.pre), len(e.post)) for e in net.events if b in e.post)
-    return tuple(as_pre), tuple(as_post)
-
-
-def _match_events(n1, n2, beta):
-    pool = defaultdict(list)
-    for event in n2.events:
-        pool[(event.pre, event.post)].append(event.id)
-    eta = {}
-    for event in n1.events:
-        key = (frozenset(beta[b] for b in event.pre),
-               frozenset(beta[b] for b in event.post))
-        bucket = pool.get(key)
-        if not bucket:
-            return None
-        eta[event.id] = bucket.pop(0)
-    return eta
+def _event_groups(net):
+    """Event ids grouped by (pre, post) pair, in event order, and each
+    condition's degree signature: the sorted (|pre|, |post|) shapes of the
+    events it feeds and of those that feed it.  One pass over the events."""
+    groups = defaultdict(list)
+    shapes = {b: ([], []) for b in net.conditions}
+    for event in net.events:
+        groups[(event.pre, event.post)].append(event.id)
+        shape = (len(event.pre), len(event.post))
+        for side, conds in enumerate((event.pre, event.post)):
+            for b in conds:
+                shapes[b][side].append(shape)
+    return groups, {b: tuple(tuple(sorted(s)) for s in sides) for b, sides in shapes.items()}
 
 
 def are_isomorphic(n1: PetriNet, n2: PetriNet) -> Optional[tuple[dict, dict]]:
@@ -217,41 +209,49 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> Optional[tuple[dict, dict]]:
 
     A witness is a pair (beta, eta): a condition bijection and an event
     bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.
-    Backtracking over condition assignments, pruned by per-condition
-    degree signatures; events are matched by multiset at the leaves.
+    Backtracking maps conditions, rarest degree signature first, onto
+    unused ones of equal signature; each distinct (pre, post) pair of
+    ``n1`` is checked once its conditions are mapped, by the number of
+    events its image carries in ``n2``.  Events pair up in group order.
     """
     if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
         return None
-    sig1 = {b: _condition_signature(n1, b) for b in n1.conditions}
-    sig2 = {b: _condition_signature(n2, b) for b in n2.conditions}
+    groups1, sig1 = _event_groups(n1)
+    groups2, sig2 = _event_groups(n2)
     if Counter(sig1.values()) != Counter(sig2.values()):
         return None
     candidates = defaultdict(list)
     for b2 in sorted(n2.conditions):
         candidates[sig2[b2]].append(b2)
     order = sorted(n1.conditions, key=lambda b: (len(candidates[sig1[b]]), b))
-
+    step = {b: k for k, b in enumerate(order)}
+    due = defaultdict(list)  # k -> pairs of n1 whose last condition is order[k]
+    for pair in groups1:
+        due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
     beta, used = {}, set()
 
+    def image(pair):
+        return tuple(frozenset(map(beta.__getitem__, side)) for side in pair)
+
     def extend(k):
+        if any(len(groups2.get(image(p), ())) != len(groups1[p]) for p in due[k - 1]):
+            return False
         if k == len(order):
-            return _match_events(n1, n2, beta)
+            return True
         b1 = order[k]
         for b2 in candidates[sig1[b1]]:
-            if b2 in used:
-                continue
-            beta[b1] = b2
-            used.add(b2)
-            eta = extend(k + 1)
-            if eta is not None:
-                return eta
-            del beta[b1]
-            used.discard(b2)
-        return None
+            if b2 not in used:
+                beta[b1] = b2
+                used.add(b2)
+                if extend(k + 1):
+                    return True
+                del beta[b1]
+                used.discard(b2)
+        return False
 
-    eta = extend(0)
-    if eta is None:
+    if not extend(0):
         return None
+    eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[image(pair)])}
     return dict(beta), eta
 
 
@@ -314,7 +314,7 @@ def read_net(text: str):
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or a too-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "net document must be a JSON object")
     for key in ("conditions", "events"):

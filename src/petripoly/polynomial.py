@@ -13,11 +13,12 @@ exploits.
 """
 
 import re
+import sys
 from collections.abc import Iterable, Mapping
 from functools import total_ordering
 from types import MappingProxyType
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 __all__ = [
     "Polynomial",
@@ -182,20 +183,30 @@ def compare(p: Polynomial, q: Polynomial) -> int:
 
 
 def print_poly(p: Polynomial) -> str:
-    """Canonical text form; inverse of :func:`parse_poly`."""
+    """Canonical text form; inverse of :func:`parse_poly`.
+
+    Raises :class:`PreconditionError` when a coefficient or exponent has
+    more digits than the interpreter's int-string limit lets it print.
+    """
     if not p:
         return "0"
     parts = []
-    for grade, i, coeff in p.sort_key():
-        j = grade - i
-        factors = []
-        if i:
-            factors.append("x" if i == 1 else f"x^{i}")
-        if j:
-            factors.append("y" if j == 1 else f"y^{j}")
-        if coeff != 1 or not factors:
-            factors.insert(0, str(coeff))
-        parts.append("*".join(factors))
+    try:
+        for grade, i, coeff in p.sort_key():
+            j = grade - i
+            factors = []
+            if i:
+                factors.append("x" if i == 1 else f"x^{i}")
+            if j:
+                factors.append("y" if j == 1 else f"y^{j}")
+            if coeff != 1 or not factors:
+                factors.insert(0, str(coeff))
+            parts.append("*".join(factors))
+    except ValueError:  # str() of an int past the limit
+        raise PreconditionError(
+            "result holds a number longer than the int-string limit "
+            f"of {sys.get_int_max_str_digits()} digits"
+        ) from None
     return " + ".join(parts)
 
 

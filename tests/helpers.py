@@ -215,6 +215,14 @@ def random_product(rng, max_support=8):
     return out
 
 
+def relabeled_copy(rng, net):
+    """An isomorphic copy: conditions permuted at random, events shuffled."""
+    ids = sorted(net.conditions)
+    shuffled = rng.sample(ids, len(ids))
+    copy = rename_conditions(net, dict(zip(ids, shuffled)))
+    return PetriNet(copy.conditions, rng.sample(copy.events, len(copy.events)))
+
+
 def rename_conditions(net, mapping):
     """Apply a condition-id bijection to a net."""
     return PetriNet(

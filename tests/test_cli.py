@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import petripoly
 from petripoly import encode, print_poly, read_net
 from petripoly.cli import run
+
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
 
 RELAY_DOC = json.dumps(
     {
@@ -119,8 +124,13 @@ def test_parse_error_exits_2(capsys):
         (["decode"], b"x+\xff"),
         (["validate"], b"\xff\xfe{"),
         (["validate"], b"[" * 100_000),
+        pytest.param(
+            ["encode"],
+            b'{"conditions": [{"id": "a", "label": ' + b"1" * (INT_LIMIT + 100) + b'}], "events": []}',
+            marks=needs_int_limit,
+        ),
     ],
-    ids=["superscript-digit", "non-utf8-poly", "non-utf8-net", "deep-json"],
+    ids=["superscript-digit", "non-utf8-poly", "non-utf8-net", "deep-json", "long-json-int"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     if content is not None:
@@ -128,6 +138,30 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
         path.write_bytes(content)
         argv = [*argv, str(path)]
     assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["mul", *["-p", "1" + "0" * (INT_LIMIT // 2 + 200)] * 2], None),
+        (["encode"], json.dumps({
+            "conditions": [{"id": "a", "label": 4 * INT_LIMIT}],
+            "events": [{"id": "e", "pre": ["a"], "post": []}],
+        })),
+    ],
+    ids=["long-product", "long-exponent"],
+)
+def test_result_past_int_limit_exits_3(tmp_path, capsys, argv, content):
+    if content is not None:
+        path = tmp_path / "net.json"
+        path.write_text(content)
+        argv = [*argv, str(path)]
+    assert run(argv) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error:") and out.err.count("\n") == 1
@@ -279,6 +313,7 @@ def test_console_script_runs():
         capture_output=True,
         text=True,
         input="",
+        cwd=Path(petripoly.__file__).parent.parent,  # finds the package uninstalled too
     )
     assert proc.returncode == 2  # a verb is required
 

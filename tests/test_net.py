@@ -27,6 +27,7 @@ from helpers import (
     iso_oracle,
     random_labeling,
     random_net,
+    relabeled_copy,
     rename_conditions,
 )
 
@@ -212,6 +213,7 @@ def test_duplicate_signature_events_match():
 
 def test_isomorphism_agrees_with_brute_force():
     """Search result and witness validity, against the all-bijections oracle."""
+    pairs = []
     rng = random.Random(101)
     for _ in range(120):
         n1 = random_net(rng, max_conditions=4, max_events=4, keep_isolated=True)
@@ -222,10 +224,48 @@ def test_isomorphism_agrees_with_brute_force():
             n2 = rename_conditions(n1, dict(zip(ids, shuffled)))
         else:
             n2 = random_net(rng, max_conditions=4, max_events=4, keep_isolated=True)
+        pairs.append((n1, n2))
+    # larger nets; the renamed copies also shuffle their event order
+    rng = random.Random(103)
+    for _ in range(200):
+        n1 = random_net(rng, max_conditions=6, max_events=7, keep_isolated=True)
+        if rng.random() < 0.6:
+            pairs.append((n1, relabeled_copy(rng, n1)))
+        else:
+            pairs.append((n1, random_net(rng, max_conditions=6, max_events=7, keep_isolated=True)))
+    for n1, n2 in pairs:
         witness = are_isomorphic(n1, n2)
         assert (witness is not None) == iso_oracle(n1, n2)
         if witness is not None:
             assert is_valid_witness(n1, n2, *witness)
+
+
+def cycle_net(n, prefix):
+    ids = [f"{prefix}{k}" for k in range(n)]
+    return PetriNet(ids, [Event(f"{prefix}e{k}", {ids[k]}, {ids[(k + 1) % n]})
+                          for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_cycle_against_two_half_cycles(n):
+    """Every condition has the same signature, so only the event pairs can
+    prune the n! condition maps."""
+    cycle = cycle_net(n, "c")
+    halves = [cycle_net(n // 2, prefix) for prefix in "ab"]
+    two_cycles = PetriNet(halves[0].conditions | halves[1].conditions,
+                          halves[0].events + halves[1].events)
+    assert are_isomorphic(cycle, two_cycles) is None
+    copy = relabeled_copy(random.Random(n), cycle)
+    assert is_valid_witness(cycle, copy, *are_isomorphic(cycle, copy))
+
+
+def test_large_relabeled_net_is_isomorphic():
+    rng = random.Random(107)
+    ids = [f"b{k}" for k in range(40)]
+    net = PetriNet(ids, [Event(f"e{k}", rng.sample(ids, rng.randint(1, 3)),
+                               rng.sample(ids, rng.randint(0, 3))) for k in range(3000)])
+    copy = relabeled_copy(rng, net)
+    assert is_valid_witness(net, copy, *are_isomorphic(net, copy))
 
 
 def test_isomorphism_is_symmetric():

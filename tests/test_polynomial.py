@@ -9,6 +9,7 @@ from petripoly import (
     ZERO,
     ParseError,
     Polynomial,
+    PreconditionError,
     compare,
     disjoint_support,
     nat_of_bits,
@@ -234,6 +235,15 @@ def test_print_poly_edges():
     assert print_poly(ZERO) == "0"
     assert print_poly(Polynomial({(0, 0): 2})) == "2"
     assert print_poly(parse_poly("x*y")) == "x*y"
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="the interpreter has no int-string limit",
+)
+def test_print_rejects_number_beyond_int_limit():
+    with pytest.raises(PreconditionError):
+        print_poly(Polynomial.constant(10 ** sys.get_int_max_str_digits()))
 
 
 @given(polys)
