@@ -2,7 +2,8 @@
 
 One verb per invocation; deterministic output on stdout, diagnostics on
 stderr.  Exit codes: 0 success (and isomorphic), 1 not isomorphic,
-2 usage or input-format errors, 3 precondition violations.
+2 usage or input-format errors, 3 precondition violations (including
+nets too large for the recursive searches).
 """
 
 import argparse
@@ -254,6 +255,9 @@ def run(argv=None) -> int:
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:  # the searches recurse once per condition
+        print("error: net too large for the search", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)

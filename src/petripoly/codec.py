@@ -11,7 +11,7 @@ Conditions occurring in no event leave no trace in the polynomial, so
 the round trip is only faithful up to isolated conditions.
 """
 
-from itertools import permutations
+from collections import Counter
 
 from .errors import PreconditionError
 from .net import (
@@ -69,15 +69,66 @@ def canonical_poly(net: PetriNet) -> Polynomial:
 
     The minimum, in the total term order, of encode(net, l) over all
     labelings onto {0, ..., |conditions|-1}.  Isomorphic nets without
-    isolated conditions get equal canonical polynomials.  Exhaustive
-    over |conditions|! labelings — meant for small nets.
+    isolated conditions get equal canonical polynomials.
+
+    Found by depth-first branch and bound.  Events with equal (pre, post)
+    make one term under every labeling, so the search hands out labels
+    n-1, n-2, ..., 0 and tracks each term's exponents over the labeled
+    conditions.  A term's u_pre unlabeled conditions in pre add at least
+    2^u_pre - 1 to i, and its u unlabeled ones in pre | post at least
+    2^u - 1 to i + j, so the descending list of these partial terms is a
+    lower bound on the sort key of every completion; a branch whose bound
+    is not below the best key found so far is cut.  Conditions that sit
+    in the same pre-sets and the same post-sets (twins, such as isolated
+    conditions) are interchangeable, so one of each class is tried.
     """
-    conditions = sorted(net.conditions)
-    candidates = (
-        encode(net, dict(zip(conditions, perm)))
-        for perm in permutations(range(len(conditions)))
-    )
-    return min(candidates, key=Polynomial.sort_key)
+    counts = Counter((event.pre, event.post) for event in net.events)
+    counts[(frozenset(), frozenset())] += 1
+    groups = list(counts)
+    twins = {}
+    for b in sorted(net.conditions):
+        twins.setdefault(tuple((b in pre, b in post) for pre, post in groups), []).append(b)
+    effects = [[(g, p, q) for g, (p, q) in enumerate(signature) if p or q]
+               for signature in twins]
+    left = [len(members) for members in twins.values()]
+    # per term: labeled part of i + j and of i, unlabeled in pre | post and in pre
+    parts = [(0, 0, len(pre | post), len(pre)) for pre, post in groups]
+    entries = [((1 << u) - 1, (1 << u_pre) - 1, counts[group])
+               for (_, _, u, u_pre), group in zip(parts, groups)]
+    best, best_order, order = None, None, []
+
+    def search(label, parts, entries, key):
+        nonlocal best, best_order
+        if label < 0:
+            best, best_order = key, order[:]
+            return
+        children = []
+        for k, count in enumerate(left):
+            if count:
+                parts_k, entries_k = parts[:], entries[:]
+                for g, p, q in effects[k]:
+                    grade, i, u, u_pre = parts[g]
+                    grade += (p + q) << label
+                    i += p << label
+                    u, u_pre = u - 1, u_pre - p
+                    parts_k[g] = grade, i, u, u_pre
+                    entries_k[g] = grade + (1 << u) - 1, i + (1 << u_pre) - 1, entries[g][2]
+                children.append((sorted(entries_k, reverse=True), k, parts_k, entries_k))
+        children.sort(key=lambda child: child[:2])
+        for key_k, k, parts_k, entries_k in children:
+            if best is not None and key_k >= best:
+                break
+            left[k] -= 1
+            order.append(k)
+            search(label - 1, parts_k, entries_k, key_k)
+            order.pop()
+            left[k] += 1
+
+    search(len(net.conditions) - 1, parts, entries, None)
+    members = [iter(members) for members in twins.values()]
+    labeling = {next(members[k]): label
+                for label, k in zip(range(len(best_order) - 1, -1, -1), best_order)}
+    return encode(net, labeling)
 
 
 def roundtrip_check(net: PetriNet, labeling: Labeling) -> bool:

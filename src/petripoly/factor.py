@@ -16,7 +16,8 @@ factors; at the net level this realizes the decomposition of a net into
 prime components of the synchronization product.
 """
 
-from math import gcd, isqrt
+from itertools import count
+from math import gcd
 from typing import Optional
 
 from .codec import decode, encode
@@ -32,11 +33,79 @@ __all__ = [
 ]
 
 
-def _smallest_prime_factor(n):
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return d
-    return n
+# Miller-Rabin over these bases decides primality exactly below the bound
+# (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n):
+    """Primality of an n > 41 with no prime factor up to 41, by Miller-Rabin.
+
+    At or above _MR_EXACT_BELOW a number that passes every base is only a
+    probable prime, which raises PreconditionError instead of being trusted.
+    """
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise PreconditionError(
+            f"the content has a {n.bit_length()}-bit factor that cannot be proven prime"
+        )
+    return True
+
+
+def _rho_factor(n):
+    """A factor 1 < d < n of the composite n, by Pollard-Brent rho."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n and n % g == 0:
+            return g
+
+
+def _prime_factors(n):
+    """The prime factors of n > 1 with multiplicity, in no particular order."""
+    factors = []
+    for p in _MR_BASES:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            factors.append(m)
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    return factors
 
 
 def _restrict(poly, mask):
@@ -59,7 +128,7 @@ def split_once(poly: Polynomial) -> Optional[tuple]:
         raise PreconditionError("need a nonzero polynomial with positive constant term")
     content = gcd(*poly.terms.values())
     if content > 1:
-        p = _smallest_prime_factor(content)
+        p = min(_prime_factors(content))
         quotient = Polynomial({key: a // p for key, a in poly.terms.items()})
         if quotient != ONE:  # dividing a prime constant by itself leaves the unit
             return Polynomial.constant(p), quotient

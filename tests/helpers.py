@@ -2,7 +2,8 @@
 
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
-search over all condition bijections, decomposability by a sweep over
+search over all condition bijections, the canonical polynomial as the
+least encoding over all labelings, decomposability by a sweep over
 every support bipartition that looks for a complete rank-1 grid of
 coefficients, and polynomial text by one regular expression per whole
 term rather than by splitting on separators.
@@ -13,7 +14,16 @@ from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 
-from petripoly import ONE, Event, PetriNet, Polynomial, are_isomorphic, nat_of_bits, tau_poly
+from petripoly import (
+    ONE,
+    Event,
+    PetriNet,
+    Polynomial,
+    are_isomorphic,
+    encode,
+    nat_of_bits,
+    tau_poly,
+)
 
 
 # --------------------------------------------------------------- oracles
@@ -33,6 +43,16 @@ def iso_oracle(n1, n2):
         if image == target:
             return True
     return False
+
+
+def canonical_oracle(net):
+    """canonical_poly by brute force: the least encoding over all n! labelings."""
+    conditions = sorted(net.conditions)
+    return min(
+        (encode(net, dict(zip(conditions, perm)))
+         for perm in permutations(range(len(conditions)))),
+        key=Polynomial.sort_key,
+    )
 
 
 _ORACLE_POWER = r"\s*[xy](?:\s*\^\s*[0-9]+)?\s*"
@@ -69,6 +89,17 @@ def parse_oracle(text):
         if not sep:
             return terms
         pos = m.end()
+
+
+def factor_oracle(n):
+    """Prime factors of n > 1 in ascending order, by trial division."""
+    factors, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.append(d)
+            n //= d
+        d += 1
+    return factors + [n] if n > 1 else factors
 
 
 def naive_divisors(n):
@@ -213,6 +244,21 @@ def random_product(rng, max_support=8):
         terms = random_poly_terms(rng, max_support)
         out = out * Polynomial(((i & mask, j & mask), a) for (i, j), a in terms.items())
     return out
+
+
+def cycle_net(n, prefix):
+    """Conditions <prefix>0 .. <prefix>n-1, each event moving one to the next."""
+    ids = [f"{prefix}{k}" for k in range(n)]
+    return PetriNet(ids, [Event(f"{prefix}e{k}", {ids[k]}, {ids[(k + 1) % n]})
+                          for k in range(n)])
+
+
+def union(*nets):
+    """Disjoint union of nets with distinct condition and event ids."""
+    return PetriNet(
+        frozenset().union(*(net.conditions for net in nets)),
+        [event for net in nets for event in net.events],
+    )
 
 
 def relabeled_copy(rng, net):

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import petripoly
-from petripoly import encode, print_poly, read_net
+from petripoly import PetriNet, encode, print_poly, read_net, write_net
 from petripoly.cli import run
+
+from helpers import cycle_net, union
 
 INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
@@ -168,6 +170,26 @@ def test_result_past_int_limit_exits_3(tmp_path, capsys, argv, content):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, net",
+    [
+        (["iso"] * 2, cycle_net(1500, "c")),  # the search recurses once per condition
+        (["decompose", "-p", "100000000000000000000000000319"], None),  # 30-digit prime
+    ],
+    ids=["long-cycle-iso", "unprovable-prime-content"],
+)
+def test_beyond_reach_exits_3_with_one_line(tmp_path, capsys, argv, net):
+    if net is not None:
+        path = tmp_path / "net.json"
+        path.write_text(write_net(net))
+        argv = [argv[0], str(path), str(path)]
+    assert run(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
 def test_mul_and_add(capsys):
     assert run(["mul", "-p", "x+1", "-p", "y^2+1"]) == 0
     assert capsys.readouterr().out == "x*y^2 + y^2 + x + 1\n"
@@ -254,6 +276,13 @@ def test_iso_false_is_silent_exit_1(relay_file, chain_file, capsys):
 def test_canon_verb(relay_file, capsys):
     assert run(["canon", relay_file]) == 0
     assert capsys.readouterr().out == "x*y^2 + y^2 + x + 1\n"
+
+
+def test_canon_with_many_isolated_conditions(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(write_net(union(cycle_net(5, "c"), PetriNet([f"i{k}" for k in range(20)]))))
+    assert run(["canon", str(path)]) == 0
+    assert capsys.readouterr().out == "x^2*y^16 + x^16*y + x^4*y^8 + x^8*y^2 + x*y^4 + 1\n"
 
 
 def test_dot_verb(relay_file, capsys):

@@ -11,12 +11,22 @@ from petripoly import (
     canonical_poly,
     decode,
     encode,
+    isolated_conditions,
     parse_poly,
     roundtrip_check,
     validate,
 )
 
-from helpers import random_labeling, random_net, random_poly_terms, rename_conditions
+from helpers import (
+    canonical_oracle,
+    cycle_net,
+    random_labeling,
+    random_net,
+    random_poly_terms,
+    relabeled_copy,
+    rename_conditions,
+    union,
+)
 from petripoly import Polynomial
 
 
@@ -137,6 +147,52 @@ def test_canonical_poly_is_minimal(relay_net):
     best = canonical_poly(relay_net)
     assert all(best.sort_key() <= p.sort_key() for p in all_encodings)
     assert best in all_encodings
+
+
+def oracle_corpus():
+    """Seeded nets of at most 6 conditions, every kind the search treats
+    specially: isolated conditions, parallel events, empty pre- or
+    post-sets, unions of cycles; plus the 7-cycle."""
+    rng = random.Random(71)
+    nets = [cycle_net(7, "c")]
+    for k in range(600):
+        net = random_net(rng, max_conditions=6, max_events=7, keep_isolated=k % 2 == 0)
+        if k % 4 == 1:  # repeat some events
+            repeats = [Event(f"r{j}", e.pre, e.post)
+                       for j, e in enumerate(rng.choices(net.events, k=2 if net.events else 0))]
+            net = PetriNet(net.conditions, net.events + tuple(repeats))
+        nets.append(net)
+    for sizes in [(1,), (2,), (6,), (1, 1), (1, 5), (2, 4), (3, 3), (1, 2, 3), (2, 2, 2)]:
+        nets.append(union(*(cycle_net(n, f"c{k}_") for k, n in enumerate(sizes))))
+    return nets
+
+
+def test_canonical_poly_matches_oracle():
+    nets = oracle_corpus()
+    assert len(nets) >= 300
+    assert any(isolated_conditions(net) for net in nets)
+    assert any(len({(e.pre, e.post) for e in net.events}) < len(net.events) for net in nets)
+    assert any(not e.pre and e.post for net in nets for e in net.events)
+    assert any(e.pre and not e.post for net in nets for e in net.events)
+    for net in nets:
+        assert canonical_poly(net) == canonical_oracle(net)
+
+
+def test_canonical_poly_beyond_the_sweep():
+    """Nets of 9 to 25 conditions, where the n! sweep is out of reach."""
+    rng = random.Random(73)
+    nets = [union(cycle_net(5, "c"), PetriNet([f"i{k}" for k in range(20)]))]
+    while len(nets) < 4:
+        net = random_net(rng, max_conditions=10, max_events=10)
+        if len(net.conditions) >= 9:
+            nets.append(net)
+    for net in nets:
+        canon = canonical_poly(net)
+        used = net.conditions - isolated_conditions(net)
+        assert canon.support() == frozenset(range(len(used)))
+        assert canon <= encode(net, {b: t for t, b in enumerate(sorted(net.conditions))})
+        for _ in range(3):
+            assert canonical_poly(relabeled_copy(rng, net)) == canon
 
 
 # -------------------------------------------------------------- round trip

@@ -22,6 +22,7 @@ from petripoly import (
 )
 
 from helpers import (
+    factor_oracle,
     match_up_to_iso,
     rename_conditions,
     random_net,
@@ -108,6 +109,24 @@ def test_decompose_unit():
 def test_decompose_constant():
     assert decompose(parse_poly("4")) == [parse_poly("2"), parse_poly("2")]
     assert decompose(parse_poly("12")) == [parse_poly("2"), parse_poly("2"), parse_poly("3")]
+
+
+def test_decompose_constant_matches_trial_division():
+    rng = random.Random(17)
+    numbers = [*range(2, 400), *(rng.randrange(2, 10**10) for _ in range(40)),
+               1_000_003**2, 43 * 47 * 1_000_003, 2**40 * 99_991]
+    for n in numbers:
+        expected = [Polynomial.constant(p) for p in factor_oracle(n)]
+        assert decompose(Polynomial.constant(n)) == expected
+
+
+def test_decompose_large_prime_content():
+    prime = 10**18 + 3
+    assert decompose(Polynomial.constant(prime)) == [Polynomial.constant(prime)]
+    p, q = 1_000_000_007, 9_999_999_967
+    assert decompose(parse_poly(f"{p * q}*x + {p * q}")) == [
+        Polynomial.constant(p), Polynomial.constant(q), parse_poly("x + 1"),
+    ]
 
 
 def test_decompose_rejects_bad_inputs():

@@ -22,6 +22,7 @@ from petripoly import (
 )
 
 from helpers import (
+    cycle_net,
     disjoint_labelings,
     is_valid_witness,
     iso_oracle,
@@ -29,6 +30,7 @@ from helpers import (
     random_net,
     relabeled_copy,
     rename_conditions,
+    union,
 )
 
 
@@ -240,21 +242,13 @@ def test_isomorphism_agrees_with_brute_force():
             assert is_valid_witness(n1, n2, *witness)
 
 
-def cycle_net(n, prefix):
-    ids = [f"{prefix}{k}" for k in range(n)]
-    return PetriNet(ids, [Event(f"{prefix}e{k}", {ids[k]}, {ids[(k + 1) % n]})
-                          for k in range(n)])
-
-
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
 def test_cycle_against_two_half_cycles(n):
     """Every condition has the same signature, so only the event pairs can
     prune the n! condition maps."""
     cycle = cycle_net(n, "c")
     halves = [cycle_net(n // 2, prefix) for prefix in "ab"]
-    two_cycles = PetriNet(halves[0].conditions | halves[1].conditions,
-                          halves[0].events + halves[1].events)
-    assert are_isomorphic(cycle, two_cycles) is None
+    assert are_isomorphic(cycle, union(*halves)) is None
     copy = relabeled_copy(random.Random(n), cycle)
     assert is_valid_witness(cycle, copy, *are_isomorphic(cycle, copy))
 
