@@ -22,7 +22,7 @@ from .net import (
     check_labeling,
     isolated_conditions,
 )
-from .polynomial import Polynomial, nat_of_bits, tau_nat, tau_poly
+from .polynomial import Polynomial, tau_nat, tau_poly
 
 __all__ = ["encode", "decode", "canonical_poly", "roundtrip_check"]
 
@@ -30,12 +30,10 @@ __all__ = ["encode", "decode", "canonical_poly", "roundtrip_check"]
 def encode(net: PetriNet, labeling: Labeling) -> Polynomial:
     """Polynomial of a labeled net: 1 + sum over events of x^i(e) y^j(e)."""
     check_labeling(net, labeling)
-    terms = {(0, 0): 1}
-    for event in net.events:
-        i = nat_of_bits(labeling[b] for b in event.pre)
-        j = nat_of_bits(labeling[b] for b in event.post)
-        terms[(i, j)] = terms.get((i, j), 0) + 1
-    return Polynomial(terms)
+    bit = {b: 1 << t for b, t in labeling.items()}.__getitem__
+    terms = Counter((sum(map(bit, e.pre)), sum(map(bit, e.post))) for e in net.events)
+    terms[(0, 0)] += 1
+    return Polynomial._trusted(dict(terms))
 
 
 def decode(poly: Polynomial):

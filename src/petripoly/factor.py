@@ -37,6 +37,8 @@ __all__ = [
 # (Sorenson & Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# Pollard-Brent rho steps per content, about 2 s; 12-digit smallest primes took up to 3.9 M.
+_RHO_STEPS = 1 << 22
 
 
 def _is_prime(n):
@@ -64,11 +66,13 @@ def _is_prime(n):
     return True
 
 
-def _rho_factor(n):
-    """A factor 1 < d < n of the composite n, by Pollard-Brent rho."""
+def _rho_factor(n, budget):
+    """A factor 1 < d < n of the composite n by Pollard-Brent rho, and the budget left."""
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if budget < 2 * r:
+                raise PreconditionError("content factor beyond the rho budget")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -80,6 +84,7 @@ def _rho_factor(n):
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += 128
+            budget -= r + min(k, r)
             r *= 2
         if g == n:  # the batch overshot: retrace it one step at a time
             g = 1
@@ -87,7 +92,7 @@ def _rho_factor(n):
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if 1 < g < n and n % g == 0:
-            return g
+            return g, budget
 
 
 def _prime_factors(n):
@@ -97,20 +102,21 @@ def _prime_factors(n):
         while n % p == 0:
             factors.append(p)
             n //= p
-    pending = [n] if n > 1 else []
+    pending, budget = [n] if n > 1 else [], _RHO_STEPS
     while pending:
         m = pending.pop()
         if _is_prime(m):
             factors.append(m)
         else:
-            d = _rho_factor(m)
+            d, budget = _rho_factor(m, budget)
             pending += [d, m // d]
     return factors
 
 
 def _restrict(poly, mask):
     """F|_mask: the terms of ``poly`` whose exponents use only bits of ``mask``."""
-    return Polynomial({(i, j): a for (i, j), a in poly.terms.items() if not (i | j) & ~mask})
+    return Polynomial._trusted({(i, j): a for (i, j), a in poly.terms.items()
+                                if not (i | j) & ~mask})
 
 
 def split_once(poly: Polynomial) -> Optional[tuple]:
@@ -129,7 +135,7 @@ def split_once(poly: Polynomial) -> Optional[tuple]:
     content = gcd(*poly.terms.values())
     if content > 1:
         p = min(_prime_factors(content))
-        quotient = Polynomial({key: a // p for key, a in poly.terms.items()})
+        quotient = Polynomial._trusted({key: a // p for key, a in poly.terms.items()})
         if quotient != ONE:  # dividing a prime constant by itself leaves the unit
             return Polynomial.constant(p), quotient
     c = poly.constant_term
@@ -143,8 +149,8 @@ def split_once(poly: Polynomial) -> Optional[tuple]:
             # poly is primitive here, so c == gcd(inside) * gcd(outside)
             # and both divisions are exact
             g = gcd(*inside.terms.values())
-            return (Polynomial({key: a // g for key, a in inside.terms.items()}),
-                    Polynomial({key: a * g // c for key, a in outside.terms.items()}))
+            return (Polynomial._trusted({key: a // g for key, a in inside.terms.items()}),
+                    Polynomial._trusted({key: a * g // c for key, a in outside.terms.items()}))
         differing = [i | j for (i, j), _ in scaled.terms.items() ^ product.terms.items()]
         fewest = min(m.bit_count() for m in differing)
         for m in differing:

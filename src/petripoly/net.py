@@ -127,29 +127,20 @@ def product(n1: PetriNet, n2: PetriNet) -> PetriNet:
     """Synchronization product of two nets.
 
     Conditions are the tagged disjoint union ("L:"/"R:" prefixes).
-    Events are all pairs (e1, e2) with either side allowed to idle,
+    Events are all pairs (e1, e2) with either side allowed to idle ("*"),
     except the fully idle pair, which remains the implicit idle event
-    of the result; so |events| = |E1|*|E2| + |E1| + |E2|.
+    of the result; so |events| = |E1|*|E2| + |E1| + |E2|.  Each event's
+    tagged sets are built once, and a pair's sets are their unions.
     """
-    conditions = [f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions]
-    pair_ids = []
-    pair_events = []
-    for e1 in list(n1.events) + [None]:
-        for e2 in [None] + list(n2.events):
-            if e1 is None and e2 is None:
-                continue
-            pair_ids.append(f"({e1.id if e1 else '*'},{e2.id if e2 else '*'})")
-            pre = {f"L:{b}" for b in e1.pre} if e1 else set()
-            post = {f"L:{b}" for b in e1.post} if e1 else set()
-            if e2:
-                pre |= {f"R:{b}" for b in e2.pre}
-                post |= {f"R:{b}" for b in e2.post}
-            pair_events.append((pre, post))
-    events = [
-        Event(name, pre, post)
-        for name, (pre, post) in zip(_unique_ids(pair_ids), pair_events)
-    ]
-    return PetriNet(conditions, events)
+    def tagged(net, tag):
+        return [(e.id, frozenset(f"{tag}:{b}" for b in e.pre),
+                 frozenset(f"{tag}:{b}" for b in e.post)) for e in net.events]
+    idle = ("*", frozenset(), frozenset())
+    left, right = tagged(n1, "L") + [idle], [idle] + tagged(n2, "R")
+    pairs = [(a, b) for a in left for b in right if a is not b]  # idle with idle stays implicit
+    ids = _unique_ids([f"({a[0]},{b[0]})" for a, b in pairs])
+    return PetriNet([f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions],
+                    [Event(name, a[1] | b[1], a[2] | b[2]) for name, (a, b) in zip(ids, pairs)])
 
 
 def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):

@@ -44,14 +44,7 @@ def _check_nat(value, what):
 def tau_nat(k: int) -> frozenset[int]:
     """Positions of the 1-bits in the binary expansion of ``k``."""
     _check_nat(k, "argument")
-    bits = set()
-    t = 0
-    while k:
-        if k & 1:
-            bits.add(t)
-        k >>= 1
-        t += 1
-    return frozenset(bits)
+    return frozenset(t for t, digit in enumerate(reversed(bin(k))) if digit == "1")
 
 
 def nat_of_bits(bits: Iterable[int]) -> int:
@@ -70,6 +63,8 @@ class Polynomial:
     ``+`` and ``*`` are the semiring operations.  The comparison
     operators implement the total order described under :func:`compare`,
     and ``str()`` yields the canonical text form of :func:`print_poly`.
+    The constructor checks every term; results built from valid terms
+    (``+``, ``*``, parsing, ``encode``, factors) skip it via :meth:`_trusted`.
     """
 
     __slots__ = ("_terms",)
@@ -77,14 +72,20 @@ class Polynomial:
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         stored: dict[tuple[int, int], int] = {}
-        for key, coeff in items:
-            i, j = key
+        for (i, j), coeff in items:
             _check_nat(i, "x-exponent")
             _check_nat(j, "y-exponent")
             _check_nat(coeff, "coefficient")
             if coeff:
                 stored[(i, j)] = stored.get((i, j), 0) + coeff
         self._terms = stored
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "Polynomial":
+        """Wrap ``terms``, which must map pairs of nonnegative ints to positive ints."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
@@ -121,7 +122,7 @@ class Polynomial:
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
             merged[key] = merged.get(key, 0) + coeff
-        return Polynomial(merged)
+        return Polynomial._trusted(merged)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -131,7 +132,7 @@ class Polynomial:
             for (i2, j2), a2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)
                 out[key] = out.get(key, 0) + a1 * a2
-        return Polynomial(out)
+        return Polynomial._trusted(out)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -258,4 +259,4 @@ def parse_poly(text: str) -> Polynomial:
             position += len(factor) + 1
         if coeff:
             terms[(i, j)] = terms.get((i, j), 0) + coeff
-    return Polynomial(terms)
+    return Polynomial._trusted(terms)

@@ -3,7 +3,8 @@
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
 search over all condition bijections, the canonical polynomial as the
-least encoding over all labelings, decomposability by a sweep over
+least encoding over all labelings, the product net by a nested loop over
+event pairs, decomposability by a sweep over
 every support bipartition that looks for a complete rank-1 grid of
 coefficients, and polynomial text by one regular expression per whole
 term rather than by splitting on separators.
@@ -89,6 +90,30 @@ def parse_oracle(text):
         if not sep:
             return terms
         pos = m.end()
+
+
+def product_oracle(n1, n2):
+    """product by the nested loop over (e1, e2) with None for idling, the
+    tagged sets rebuilt for every pair, and later duplicate ids renamed
+    with '#2', '#3', ... suffixes."""
+    conditions = [f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions]
+    events, used = [], set()
+    for e1 in list(n1.events) + [None]:
+        for e2 in [None] + list(n2.events):
+            if e1 is None and e2 is None:
+                continue
+            candidate = f"({e1.id if e1 else '*'},{e2.id if e2 else '*'})"
+            name, k = candidate, 2
+            while name in used:
+                name, k = f"{candidate}#{k}", k + 1
+            used.add(name)
+            pre = {f"L:{b}" for b in e1.pre} if e1 else set()
+            post = {f"L:{b}" for b in e1.post} if e1 else set()
+            if e2:
+                pre |= {f"R:{b}" for b in e2.pre}
+                post |= {f"R:{b}" for b in e2.post}
+            events.append(Event(name, pre, post))
+    return PetriNet(conditions, events)
 
 
 def factor_oracle(n):

@@ -175,8 +175,10 @@ def test_result_past_int_limit_exits_3(tmp_path, capsys, argv, content):
     [
         (["iso"] * 2, cycle_net(1500, "c")),  # the search recurses once per condition
         (["decompose", "-p", "100000000000000000000000000319"], None),  # 30-digit prime
+        # (10^19 + 51) * (2 * 10^19 + 11): rho would need about 10^9.5 steps
+        (["decompose", "-p", "200000000000000001130000000000000000561"], None),
     ],
-    ids=["long-cycle-iso", "unprovable-prime-content"],
+    ids=["long-cycle-iso", "unprovable-prime-content", "rho-budget-content"],
 )
 def test_beyond_reach_exits_3_with_one_line(tmp_path, capsys, argv, net):
     if net is not None:

@@ -26,6 +26,7 @@ from helpers import (
     disjoint_labelings,
     is_valid_witness,
     iso_oracle,
+    product_oracle,
     random_labeling,
     random_net,
     relabeled_copy,
@@ -125,6 +126,33 @@ def test_product_event_id_collisions_are_renamed():
     n2 = PetriNet([], [])
     ids = [e.id for e in product(n1, n2).events]
     assert len(ids) == len(set(ids))
+
+
+def test_product_matches_oracle():
+    rng = random.Random(29)
+    names = ["a", "b", "*", "(a,*)", "(*,a)", "(a,b)", "(a,*)#2", "a#2"]
+
+    def net():
+        conditions = [f"b{k}" for k in range(rng.randint(0, 3))]  # same ids on both sides
+        return PetriNet(conditions, [
+            Event(rng.choice(names), rng.sample(conditions, rng.randint(0, len(conditions))),
+                  rng.sample(conditions, rng.randint(0, len(conditions))))
+            for _ in range(rng.randint(0, 4))
+        ])
+
+    pairs = [(net(), net()) for _ in range(400)]
+    nets = [n for pair in pairs for n in pair]
+    events = [e for n in nets for e in n.events]
+    assert any(not n.events and not n.conditions for n in nets)
+    assert any(len({e.id for e in n.events}) < len(n.events) for n in nets)
+    assert {"*", "(a,*)"} <= {e.id for e in events}
+    assert any(not e.pre for e in events) and any(not e.post for e in events)
+    for n1, n2 in pairs:
+        got, want = product(n1, n2), product_oracle(n1, n2)
+        assert got.conditions == want.conditions
+        assert [(e.id, e.pre, e.post) for e in got.events] == [
+            (e.id, e.pre, e.post) for e in want.events
+        ]
 
 
 # ----------------------------------------------------------------- attach

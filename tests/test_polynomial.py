@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -11,15 +12,18 @@ from petripoly import (
     Polynomial,
     PreconditionError,
     compare,
+    decompose,
     disjoint_support,
+    encode,
     nat_of_bits,
     parse_poly,
     print_poly,
+    split_once,
     tau_nat,
     tau_poly,
 )
 
-from helpers import parse_oracle
+from helpers import parse_oracle, random_labeling, random_net
 
 exponents = st.integers(min_value=0, max_value=2**32 - 1)
 coefficients = st.integers(min_value=0, max_value=2**16 - 1)
@@ -106,10 +110,13 @@ def test_mul_carries_when_supports_overlap():
 
 
 def test_constructor_rejects_negative_coefficients():
-    with pytest.raises(ValueError):
-        Polynomial({(1, 0): -1})
-    with pytest.raises(ValueError):
-        Polynomial({(-1, 0): 1})
+    for terms in ({(1, 0): -1}, {(-1, 0): 1}, {(0, -1): 1}, {(1, 0): True}, {(True, 0): 1},
+                  {(1.0, 0): 1}, {(0, 2.0): 1}, {(1, 0): 1.0}, [((1, 0), -1)]):
+        with pytest.raises(ValueError):
+            Polynomial(terms)
+    for value in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            Polynomial.constant(value)
 
 
 def test_zero_coefficients_are_dropped():
@@ -154,6 +161,32 @@ def test_disjoint_product_is_carry_free(p, q):
     product = p * q
     assert tau_poly(product) == tau_poly(p) | tau_poly(q)
     assert len(product.terms) == len(p.terms) * len(q.terms)
+
+
+def assert_natural_terms(result):
+    """The invariant of every Polynomial: keys are pairs of non-bool,
+    nonnegative ints and coefficients are positive ints, which the
+    public constructor accepts unchanged."""
+    for key, coeff in result.terms.items():
+        assert type(key) is tuple and len(key) == 2
+        assert all(type(e) is int and e >= 0 for e in key)
+        assert type(coeff) is int and coeff > 0
+    assert Polynomial(dict(result.terms)) == result
+
+
+@given(polys, polys, low_polys, high_polys, st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60)
+def test_library_results_hold_natural_terms(p, q, low, high, seed):
+    results = [p + q, p * q, parse_poly(print_poly(p))]
+    product = (low + ONE) * (high + ONE)
+    results += split_once(product) or ()
+    results += split_once(product * Polynomial.constant(6))
+    results += decompose(product * Polynomial.constant(6))
+    rng = random.Random(seed)
+    net = random_net(rng, max_conditions=6, max_events=8, keep_isolated=True)
+    results.append(encode(net, random_labeling(rng, net)))
+    for result in results:
+        assert_natural_terms(result)
 
 
 def test_disjoint_support_examples():
