@@ -22,15 +22,28 @@ from .net import (
     check_labeling,
     isolated_conditions,
 )
-from .polynomial import Polynomial, tau_nat, tau_poly
+from .polynomial import Polynomial
 
 __all__ = ["encode", "decode", "canonical_poly", "roundtrip_check"]
+
+
+class _Bits(dict):
+    """Condition -> 2^label, made on first lookup: an unused condition's
+    label is never expanded, however large it is."""
+
+    def __init__(self, labeling):
+        super().__init__()
+        self.labeling = labeling
+
+    def __missing__(self, b):
+        self[b] = bit = 1 << self.labeling[b]
+        return bit
 
 
 def encode(net: PetriNet, labeling: Labeling) -> Polynomial:
     """Polynomial of a labeled net: 1 + sum over events of x^i(e) y^j(e)."""
     check_labeling(net, labeling)
-    bit = {b: 1 << t for b, t in labeling.items()}.__getitem__
+    bit = _Bits(labeling).__getitem__
     terms = Counter((sum(map(bit, e.pre)), sum(map(bit, e.post))) for e in net.events)
     terms[(0, 0)] += 1
     return Polynomial._trusted(dict(terms))
@@ -48,17 +61,24 @@ def decode(poly: Polynomial):
         raise PreconditionError(
             "decoding needs a positive constant term (there is no idle event)"
         )
-    labeling = {f"c{t}": t for t in tau_poly(poly)}
-    condition_of = {t: b for b, t in labeling.items()}
-    events = []
-    for grade, i, coeff in poly.sort_key():
-        j = grade - i
-        count = coeff - 1 if (i, j) == (0, 0) else coeff
-        pre = frozenset(condition_of[t] for t in tau_nat(i))
-        post = frozenset(condition_of[t] for t in tau_nat(j))
-        events.extend(
-            Event(f"e{k}_({i},{j})", pre, post) for k in range(1, count + 1)
-        )
+    labeling = {f"c{t}": t for t in poly.support()}
+    condition_of = {1 << t: b for b, t in labeling.items()}
+
+    def conditions(n):
+        """The conditions at the 1-bits of the exponent n."""
+        names = []
+        while n:
+            low = n & -n
+            names.append(condition_of[low])
+            n ^= low
+        return frozenset(names)
+
+    terms = poly.sort_key()
+    # one condition set per distinct exponent, shared by every event that uses it
+    side = {n: conditions(n) for n in {n for grade, i, _ in terms for n in (i, grade - i)}}
+    # the constant term (grade 0) gives one event fewer: its last unit is the idle event
+    events = [Event._trusted(f"e{k}_({i},{grade - i})", side[i], side[grade - i])
+              for grade, i, coeff in terms for k in range(1, coeff + (grade > 0))]
     return PetriNet(labeling, events), labeling
 
 

@@ -119,6 +119,11 @@ def _restrict(poly, mask):
                                 if not (i | j) & ~mask})
 
 
+def _check_splittable(poly):
+    if not poly or poly.constant_term < 1:
+        raise PreconditionError("need a nonzero polynomial with positive constant term")
+
+
 def split_once(poly: Polynomial) -> Optional[tuple]:
     """One nontrivial factorization step, or None when ``poly`` is prime.
 
@@ -130,8 +135,7 @@ def split_once(poly: Polynomial) -> Optional[tuple]:
     Any returned pair multiplies back exactly, has disjoint supports,
     and has positive constant terms on both sides.
     """
-    if not poly or poly.constant_term < 1:
-        raise PreconditionError("need a nonzero polynomial with positive constant term")
+    _check_splittable(poly)
     content = gcd(*poly.terms.values())
     if content > 1:
         p = min(_prime_factors(content))
@@ -165,8 +169,15 @@ def decompose(poly: Polynomial) -> list[Polynomial]:
     The factors multiply back to ``poly`` exactly; each resists
     split_once.  decompose(1) is [1] by convention (the unit has no
     prime factors, but an empty product would be unhelpful output).
+    The integer content is factored once, up front; the primitive part
+    that remains stays primitive through every split (Gauss's lemma),
+    so split_once never meets a content again.
     """
-    pending, primes = [poly], []
+    _check_splittable(poly)
+    content = gcd(*poly.terms.values())
+    primes = [Polynomial.constant(p) for p in _prime_factors(content)] if content > 1 else []
+    primitive = Polynomial._trusted({key: a // content for key, a in poly.terms.items()})
+    pending = [primitive] if primitive != ONE or not primes else []
     while pending:
         candidate = pending.pop()
         split = split_once(candidate)

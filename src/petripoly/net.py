@@ -14,6 +14,7 @@ not inside it.
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .errors import NetStructureError, ParseError, PreconditionError
@@ -49,6 +50,22 @@ class Event:
         object.__setattr__(self, "pre", frozenset(self.pre))
         object.__setattr__(self, "post", frozenset(self.post))
 
+    @classmethod
+    def _trusted(cls, id: str, pre: frozenset, post: frozenset) -> "Event":
+        """Wrap an id and two frozensets without ``__init__``'s coercion.
+
+        For events built from sets that are already frozensets (reading,
+        decoding, ``product``, ``attach``); the public constructor keeps
+        converting whatever iterables it is given.  (Writing the fields
+        through ``event.__dict__`` would be faster but makes every event
+        64 bytes larger on CPython 3.11.)
+        """
+        event = object.__new__(cls)
+        object.__setattr__(event, "id", id)
+        object.__setattr__(event, "pre", pre)
+        object.__setattr__(event, "post", post)
+        return event
+
 
 @dataclass(frozen=True)
 class PetriNet:
@@ -78,12 +95,13 @@ def validate(net: PetriNet) -> list[str]:
         if event.id in seen:
             raise NetStructureError(f"duplicate event id {event.id!r}")
         seen.add(event.id)
+    conditions = net.conditions
     for event in net.events:
-        for b in sorted(event.pre | event.post):
-            if b not in net.conditions:
-                raise NetStructureError(
-                    f"event {event.id!r} references unknown condition {b!r}"
-                )
+        if not (event.pre <= conditions and event.post <= conditions):
+            unknown = min((event.pre | event.post) - conditions)  # first in sorted order
+            raise NetStructureError(
+                f"event {event.id!r} references unknown condition {unknown!r}"
+            )
     warnings = [f"isolated condition {b}" for b in sorted(isolated_conditions(net))]
     warnings.extend(f"event {e.id} has empty pre" for e in net.events if not e.pre)
     return warnings
@@ -91,10 +109,8 @@ def validate(net: PetriNet) -> list[str]:
 
 def isolated_conditions(net: PetriNet) -> frozenset:
     """Conditions that occur in no event's pre- or post-set."""
-    used = set()
-    for event in net.events:
-        used |= event.pre | event.post
-    return net.conditions - used
+    return net.conditions.difference(*(e.pre for e in net.events),
+                                     *(e.post for e in net.events))
 
 
 def check_labeling(net: PetriNet, labeling: Labeling) -> None:
@@ -140,7 +156,8 @@ def product(n1: PetriNet, n2: PetriNet) -> PetriNet:
     pairs = [(a, b) for a in left for b in right if a is not b]  # idle with idle stays implicit
     ids = _unique_ids([f"({a[0]},{b[0]})" for a, b in pairs])
     return PetriNet([f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions],
-                    [Event(name, a[1] | b[1], a[2] | b[2]) for name, (a, b) in zip(ids, pairs)])
+                    [Event._trusted(name, a[1] | b[1], a[2] | b[2])
+                     for name, (a, b) in zip(ids, pairs)])
 
 
 def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
@@ -166,13 +183,14 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
 
     event_ids = _unique_ids([e.id for e in n1.events] + [e.id for e in n2.events] + ["star"])
     events = [
-        Event(name, event.pre, event.post)
+        Event._trusted(name, event.pre, event.post)
         for name, event in zip(event_ids, n1.events)
     ]
+    mapped = right_map.__getitem__
     for name, event in zip(event_ids[len(n1.events):], n2.events):
-        events.append(Event(name, {right_map[b] for b in event.pre},
-                            {right_map[b] for b in event.post}))
-    events.append(Event(event_ids[-1]))
+        events.append(Event._trusted(name, frozenset(map(mapped, event.pre)),
+                                     frozenset(map(mapped, event.post))))
+    events.append(Event._trusted(event_ids[-1], frozenset(), frozenset()))
 
     labeling = {b: label for b, label in l1.items()}
     labeling.update({right_map[b]: label for b, label in l2.items()})
@@ -283,16 +301,43 @@ def net_document(net: PetriNet, labeling: Optional[Labeling] = None) -> dict:
     return {"conditions": conditions, "events": events}
 
 
+def _json_array(lines):
+    """A JSON array at the second level of a document, one item per line."""
+    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+
+
 def write_net(net: PetriNet, labeling: Optional[Labeling] = None) -> str:
-    """Serialize a net (and optional labeling) as the JSON document format."""
+    """Serialize a net (and optional labeling) as the JSON document format.
+
+    The text is :func:`net_document` as JSON, laid out as README shows it:
+    one condition or event per line.  Strings are escaped to ASCII by the
+    C function ``json.dumps`` itself uses.
+    """
     if labeling is not None:
         check_labeling(net, labeling)
-    return json.dumps(net_document(net, labeling), indent=2)
+    quote = encode_basestring_ascii
+    if labeling is None:
+        conditions = [f'    {{"id": {quote(b)}}}' for b in sorted(net.conditions)]
+    else:
+        conditions = [f'    {{"id": {quote(b)}, "label": {labeling[b]}}}'
+                      for b in sorted(net.conditions)]
+    events = [
+        f'    {{"id": {quote(e.id)}, "pre": [{", ".join(map(quote, sorted(e.pre)))}], '
+        f'"post": [{", ".join(map(quote, sorted(e.post)))}]}}'
+        for e in net.events
+    ]
+    return (f'{{\n  "conditions": {_json_array(conditions)},\n'
+            f'  "events": {_json_array(events)}\n}}')
 
 
-def _require(condition, message):
-    if not condition:
-        raise NetStructureError(message)
+def _refs(entry, event_id, side):
+    """One side of an event object: its array of condition ids as a frozenset."""
+    refs = entry.get(side)
+    if not isinstance(refs, list):
+        raise NetStructureError(f"event {event_id!r} needs a {side!r} array")
+    if not all(isinstance(b, str) for b in refs):
+        raise NetStructureError(f"event {event_id!r}: {side} entries must be strings")
+    return frozenset(refs)
 
 
 def read_net(text: str):
@@ -307,25 +352,29 @@ def read_net(text: str):
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or a too-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "net document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise NetStructureError("net document must be a JSON object")
     for key in ("conditions", "events"):
-        _require(key in doc, f"net document is missing {key!r}")
-        _require(isinstance(doc[key], list), f"{key!r} must be an array")
+        if key not in doc:
+            raise NetStructureError(f"net document is missing {key!r}")
+        if not isinstance(doc[key], list):
+            raise NetStructureError(f"{key!r} must be an array")
 
     condition_ids = set()
     labels = {}
     for entry in doc["conditions"]:
-        _require(isinstance(entry, dict), "each condition must be an object")
+        if not isinstance(entry, dict):
+            raise NetStructureError("each condition must be an object")
         b = entry.get("id")
-        _require(isinstance(b, str), "condition id must be a string")
-        _require(b not in condition_ids, f"duplicate condition id {b!r}")
+        if not isinstance(b, str):
+            raise NetStructureError("condition id must be a string")
+        if b in condition_ids:
+            raise NetStructureError(f"duplicate condition id {b!r}")
         condition_ids.add(b)
         if "label" in entry:
             label = entry["label"]
-            _require(
-                isinstance(label, int) and not isinstance(label, bool) and label >= 0,
-                f"label of {b!r} must be a nonnegative integer",
-            )
+            if isinstance(label, bool) or not isinstance(label, int) or label < 0:
+                raise NetStructureError(f"label of {b!r} must be a nonnegative integer")
             labels[b] = label
     if labels and len(labels) != len(condition_ids):
         raise NetStructureError("either all conditions carry labels or none do")
@@ -334,17 +383,12 @@ def read_net(text: str):
 
     events = []
     for entry in doc["events"]:
-        _require(isinstance(entry, dict), "each event must be an object")
+        if not isinstance(entry, dict):
+            raise NetStructureError("each event must be an object")
         e = entry.get("id")
-        _require(isinstance(e, str), "event id must be a string")
-        sides = {}
-        for side in ("pre", "post"):
-            refs = entry.get(side)
-            _require(isinstance(refs, list), f"event {e!r} needs a {side!r} array")
-            for b in refs:
-                _require(isinstance(b, str), f"event {e!r}: {side} entries must be strings")
-            sides[side] = refs
-        events.append(Event(e, sides["pre"], sides["post"]))
+        if not isinstance(e, str):
+            raise NetStructureError("event id must be a string")
+        events.append(Event._trusted(e, _refs(entry, e, "pre"), _refs(entry, e, "post")))
 
     net = PetriNet(condition_ids, events)
     validate(net)

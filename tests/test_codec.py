@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -54,6 +55,18 @@ def test_encode_empty_net():
 def test_encode_counts_idle_signature_events():
     net = PetriNet([], [Event("e1"), Event("e2")])
     assert encode(net, {}) == parse_poly("3")
+
+
+def test_encode_never_expands_an_isolated_condition_label():
+    net = PetriNet(["b", "far"], [Event("e", {"b"}, set())])
+    tracemalloc.start()
+    try:
+        poly = encode(net, {"b": 0, "far": 80_000_000})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poly == parse_poly("x + 1")
+    assert peak < 1 << 20  # 2^(8*10^7) alone would take 10 MiB
 
 
 def test_encode_rejects_bad_labeling(relay_net):

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import petripoly.factor as factor_module
 from petripoly import (
     ONE,
     are_isomorphic,
@@ -118,6 +119,25 @@ def test_decompose_constant_matches_trial_division():
     for n in numbers:
         expected = [Polynomial.constant(p) for p in factor_oracle(n)]
         assert decompose(Polynomial.constant(n)) == expected
+
+
+def test_decompose_factors_the_content_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    prime_factors = factor_module._prime_factors
+    monkeypatch.setattr(factor_module, "_prime_factors", counting)
+    assert decompose(Polynomial.constant(2**40 * 99_991)) == (
+        [Polynomial.constant(2)] * 40 + [Polynomial.constant(99_991)])
+    assert calls == [2**40 * 99_991]
+    calls.clear()
+    assert decompose(parse_poly("12*x*y^2 + 12*x + 12*y^2 + 12")) == [
+        parse_poly("2"), parse_poly("2"), parse_poly("3"), parse_poly("x + 1"), parse_poly("y^2 + 1"),
+    ]
+    assert calls == [12]
 
 
 def test_decompose_large_prime_content():

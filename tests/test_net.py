@@ -1,5 +1,7 @@
 import json
 import random
+from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,22 @@ from helpers import (
     rename_conditions,
     union,
 )
+
+
+# ------------------------------------------------------------------ Event
+
+def test_trusted_event_behaves_like_public_event():
+    pre, post = frozenset({"a", "b"}), frozenset({"c"})
+    public, trusted = Event("e", pre, post), Event._trusted("e", pre, post)
+    assert trusted == public and public == trusted
+    assert hash(trusted) == hash(public)
+    assert repr(trusted) == repr(public)
+    assert Event._trusted("e", frozenset(), frozenset()) == Event("e")
+    with pytest.raises(FrozenInstanceError):
+        trusted.pre = frozenset()
+    assert trusted.pre is pre
+    coerced = Event("e", ["b", "a", "a"], {"c"})  # the public constructor still converts
+    assert type(coerced.pre) is frozenset and coerced == trusted
 
 
 # --------------------------------------------------------------- validate
@@ -365,22 +383,103 @@ def test_net_document_shape(relay_net):
     assert doc["events"][0] == {"id": "a", "pre": ["b0"], "post": []}
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        '{"conditions": [{"id": "b0"}, {"id": "b0"}], "events": []}',
-        '{"conditions": [{"id": "b0", "label": 0}, {"id": "b1"}], "events": []}',
-        '{"conditions": [{"id": "b0", "label": 0}, {"id": "b1", "label": 0}], "events": []}',
-        '{"conditions": [], "events": [{"id": "e", "pre": ["zz"], "post": []}]}',
-        '{"conditions": [], "events": [{"id": "e", "pre": [], "post": []}, {"id": "e", "pre": [], "post": []}]}',
-        '{"conditions": [{"id": "b", "label": -1}], "events": []}',
-        '{"conditions": []}',
-        "[]",
-    ],
-)
-def test_read_net_rejects_bad_documents(doc):
-    with pytest.raises(NetStructureError):
+def test_write_net_matches_readme_layout(relay_net):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Net JSON format", 1)[1]
+    layout = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+    assert write_net(relay_net, {"b0": 0, "b1": 1}) == layout
+
+
+def test_write_net_layout_of_empty_parts():
+    assert write_net(PetriNet()) == '{\n  "conditions": [],\n  "events": []\n}'
+    assert write_net(PetriNet(["b"], [Event("e")])) == "\n".join([
+        "{",
+        '  "conditions": [',
+        '    {"id": "b"}',
+        "  ],",
+        '  "events": [',
+        '    {"id": "e", "pre": [], "post": []}',
+        "  ]",
+        "}",
+    ])
+
+
+# quotes, backslashes, control characters, non-ASCII, astral-plane and lone surrogates
+_AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\U0001F600", "\ud800", "/", "a"]
+
+
+def test_write_net_round_trips_awkward_ids():
+    rng = random.Random(23)
+    for _ in range(60):
+        plain = random_net(rng, max_conditions=6, max_events=8, keep_isolated=True)
+        awkward = {b: "".join(rng.choices(_AWKWARD, k=rng.randint(0, 4))) + b
+                   for b in plain.conditions}
+        renamed = rename_conditions(plain, awkward)
+        net = PetriNet(renamed.conditions, [
+            Event("".join(rng.choices(_AWKWARD, k=rng.randint(0, 4))) + e.id, e.pre, e.post)
+            for e in renamed.events
+        ])
+        labels = random_labeling(rng, net) if rng.random() < 0.5 else None
+        text = write_net(net, labels)
+        assert text.isascii()
+        assert json.loads(text) == net_document(net, labels)
+        assert read_net(text) == (net, labels or None)
+
+
+_BAD_DOCUMENTS = [
+    ('{"conditions": [{"id": "b0"}, {"id": "b0"}], "events": []}',
+     "duplicate condition id 'b0'"),
+    ('{"conditions": [{"id": "b0", "label": 0}, {"id": "b1"}], "events": []}',
+     "either all conditions carry labels or none do"),
+    ('{"conditions": [{"id": "b0", "label": 0}, {"id": "b1", "label": 0}], "events": []}',
+     "condition labels must be distinct"),
+    ('{"conditions": [], "events": [{"id": "e", "pre": ["zz"], "post": []}]}',
+     "event 'e' references unknown condition 'zz'"),
+    ('{"conditions": [], "events": [{"id": "e", "pre": [], "post": []}, {"id": "e", "pre": [], "post": []}]}',
+     "duplicate event id 'e'"),
+    ('{"conditions": [{"id": "b", "label": -1}], "events": []}',
+     "label of 'b' must be a nonnegative integer"),
+    ('{"conditions": []}',
+     "net document is missing 'events'"),
+    ("[]",
+     "net document must be a JSON object"),
+    ('{"conditions": {}, "events": []}',
+     "'conditions' must be an array"),
+    ('{"conditions": ["b0"], "events": []}',
+     "each condition must be an object"),
+    ('{"conditions": [{"id": 0}], "events": []}',
+     "condition id must be a string"),
+    ('{"conditions": [{"id": "b", "label": true}], "events": []}',
+     "label of 'b' must be a nonnegative integer"),
+    ('{"conditions": [], "events": [["e"]]}',
+     "each event must be an object"),
+    ('{"conditions": [], "events": [{"id": 7, "pre": [], "post": []}]}',
+     "event id must be a string"),
+    ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": "b0", "post": []}]}',
+     "event 'e' needs a 'pre' array"),
+    ('{"conditions": [], "events": [{"id": "e", "pre": []}]}',
+     "event 'e' needs a 'post' array"),
+    ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": ["b0"], "post": ["b0", 3]}]}',
+     "event 'e': post entries must be strings"),
+    # two or more faults: the first one found is reported
+    ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": ["zz", "b0"], "post": ["yy"]},'
+     ' {"id": "f", "pre": ["xx"], "post": []}]}',
+     "event 'e' references unknown condition 'yy'"),
+    ('{"conditions": [], "events": [{"id": "e", "pre": ["zz"], "post": []}, {"id": "f", "pre": [], "post": []},'
+     ' {"id": "f", "pre": [], "post": []}]}',
+     "duplicate event id 'f'"),
+    ('{"conditions": [], "events": [{"id": "e", "pre": ["zz"], "post": []}, {"id": "f", "pre": [null], "post": []}]}',
+     "event 'f': pre entries must be strings"),
+    ('{"conditions": [{"id": "b", "label": 0}, {"id": "b", "label": 0}], "events": [5]}',
+     "duplicate condition id 'b'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", _BAD_DOCUMENTS, ids=[doc for doc, _ in _BAD_DOCUMENTS])
+def test_read_net_rejects_bad_documents(doc, message):
+    with pytest.raises(NetStructureError) as caught:
         read_net(doc)
+    assert str(caught.value) == message
 
 
 def test_read_net_rejects_bad_json():
