@@ -28,7 +28,6 @@ from .net import (
     attach,
     check_labeling,
     isolated_conditions,
-    net_document,
     product,
     read_net,
     to_dot,
@@ -46,7 +45,7 @@ __all__ = [
     "compare", "parse_poly", "print_poly",
     "Event", "PetriNet", "validate", "check_labeling", "isolated_conditions",
     "product", "attach", "are_isomorphic", "to_dot",
-    "net_document", "write_net", "read_net",
+    "write_net", "read_net",
     "encode", "decode", "canonical_poly", "roundtrip_check",
     "split_once", "decompose", "decompose_net", "is_prime_net",
 ]

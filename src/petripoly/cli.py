@@ -18,7 +18,6 @@ from .net import (
     are_isomorphic,
     attach,
     isolated_conditions,
-    net_document,
     product,
     read_net,
     to_dot,
@@ -133,8 +132,7 @@ def _cmd_decompose(args):
     for factor in factors:
         print(print_poly(factor))
     if args.nets:
-        documents = [net_document(*decode(factor)) for factor in factors]
-        print(json.dumps(documents, indent=2))
+        print("[" + ", ".join(write_net(*decode(factor)) for factor in factors) + "]")
     return 0
 
 

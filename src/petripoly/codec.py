@@ -36,7 +36,11 @@ class _Bits(dict):
         self.labeling = labeling
 
     def __missing__(self, b):
-        self[b] = bit = 1 << self.labeling[b]
+        try:
+            bit = 1 << self.labeling[b]
+        except OverflowError:  # the shift count is past what CPython can represent
+            raise PreconditionError(f"label of condition {b!r} is too large to encode") from None
+        self[b] = bit
         return bit
 
 
@@ -77,7 +81,7 @@ def decode(poly: Polynomial):
     # one condition set per distinct exponent, shared by every event that uses it
     side = {n: conditions(n) for n in {n for grade, i, _ in terms for n in (i, grade - i)}}
     # the constant term (grade 0) gives one event fewer: its last unit is the idle event
-    events = [Event._trusted(f"e{k}_({i},{grade - i})", side[i], side[grade - i])
+    events = [Event(f"e{k}_({i},{grade - i})", side[i], side[grade - i])
               for grade, i, coeff in terms for k in range(1, coeff + (grade > 0))]
     return PetriNet(labeling, events), labeling
 

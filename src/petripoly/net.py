@@ -13,7 +13,7 @@ not inside it.
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -30,7 +30,6 @@ __all__ = [
     "attach",
     "are_isomorphic",
     "to_dot",
-    "net_document",
     "write_net",
     "read_net",
 ]
@@ -38,49 +37,39 @@ __all__ = [
 Labeling = dict  # ConditionId -> nonnegative int, injective
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Event:
-    """One event: an id plus its pre- and post-condition sets."""
+    """One event: an id plus its pre- and post-condition sets.
+
+    The sets are stored as frozensets; a frozenset argument is kept
+    itself, not copied, so events built from the same sets share them.
+    """
 
     id: str
-    pre: frozenset = field(default_factory=frozenset)
-    post: frozenset = field(default_factory=frozenset)
+    pre: frozenset
+    post: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre", frozenset(self.pre))
-        object.__setattr__(self, "post", frozenset(self.post))
-
-    @classmethod
-    def _trusted(cls, id: str, pre: frozenset, post: frozenset) -> "Event":
-        """Wrap an id and two frozensets without ``__init__``'s coercion.
-
-        For events built from sets that are already frozensets (reading,
-        decoding, ``product``, ``attach``); the public constructor keeps
-        converting whatever iterables it is given.  (Writing the fields
-        through ``event.__dict__`` would be faster but makes every event
-        64 bytes larger on CPython 3.11.)
-        """
-        event = object.__new__(cls)
-        object.__setattr__(event, "id", id)
-        object.__setattr__(event, "pre", pre)
-        object.__setattr__(event, "post", post)
-        return event
+    def __init__(self, id: str, pre=frozenset(), post=frozenset()):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "pre", frozenset(pre))
+        object.__setattr__(self, "post", frozenset(post))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PetriNet:
     """A finite net: condition ids and a sequence of events.
 
     Construction is permissive — dangling references and duplicate event
     ids are representable, so that :func:`validate` can report them.
+    A frozenset of conditions and a tuple of events are kept as given.
     """
 
-    conditions: frozenset = field(default_factory=frozenset)
-    events: tuple = field(default_factory=tuple)
+    conditions: frozenset
+    events: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "conditions", frozenset(self.conditions))
-        object.__setattr__(self, "events", tuple(self.events))
+    def __init__(self, conditions=frozenset(), events=()):
+        object.__setattr__(self, "conditions", frozenset(conditions))
+        object.__setattr__(self, "events", tuple(events))
 
 
 def validate(net: PetriNet) -> list[str]:
@@ -90,6 +79,15 @@ def validate(net: PetriNet) -> list[str]:
     events referencing unknown conditions.  Warnings: isolated
     conditions and events with empty pre-sets, both structurally legal.
     """
+    _check_structure(net)
+    warnings = [f"isolated condition {b}" for b in sorted(isolated_conditions(net))]
+    warnings.extend(f"event {e.id} has empty pre" for e in net.events if not e.pre)
+    return warnings
+
+
+def _check_structure(net: PetriNet) -> None:
+    """Raise :class:`NetStructureError` on the first duplicate event id,
+    else on the first event that references an unknown condition."""
     seen = set()
     for event in net.events:
         if event.id in seen:
@@ -102,9 +100,6 @@ def validate(net: PetriNet) -> list[str]:
             raise NetStructureError(
                 f"event {event.id!r} references unknown condition {unknown!r}"
             )
-    warnings = [f"isolated condition {b}" for b in sorted(isolated_conditions(net))]
-    warnings.extend(f"event {e.id} has empty pre" for e in net.events if not e.pre)
-    return warnings
 
 
 def isolated_conditions(net: PetriNet) -> frozenset:
@@ -156,7 +151,7 @@ def product(n1: PetriNet, n2: PetriNet) -> PetriNet:
     pairs = [(a, b) for a in left for b in right if a is not b]  # idle with idle stays implicit
     ids = _unique_ids([f"({a[0]},{b[0]})" for a, b in pairs])
     return PetriNet([f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions],
-                    [Event._trusted(name, a[1] | b[1], a[2] | b[2])
+                    [Event(name, a[1] | b[1], a[2] | b[2])
                      for name, (a, b) in zip(ids, pairs)])
 
 
@@ -183,14 +178,14 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
 
     event_ids = _unique_ids([e.id for e in n1.events] + [e.id for e in n2.events] + ["star"])
     events = [
-        Event._trusted(name, event.pre, event.post)
+        Event(name, event.pre, event.post)
         for name, event in zip(event_ids, n1.events)
     ]
     mapped = right_map.__getitem__
     for name, event in zip(event_ids[len(n1.events):], n2.events):
-        events.append(Event._trusted(name, frozenset(map(mapped, event.pre)),
-                                     frozenset(map(mapped, event.post))))
-    events.append(Event._trusted(event_ids[-1], frozenset(), frozenset()))
+        events.append(Event(name, frozenset(map(mapped, event.pre)),
+                            frozenset(map(mapped, event.post))))
+    events.append(Event(event_ids[-1]))
 
     labeling = {b: label for b, label in l1.items()}
     labeling.update({right_map[b]: label for b, label in l2.items()})
@@ -287,20 +282,6 @@ def to_dot(net: PetriNet) -> str:
     return "\n".join(lines)
 
 
-def net_document(net: PetriNet, labeling: Optional[Labeling] = None) -> dict:
-    """JSON-ready dict for a net, with labels when a labeling is given."""
-    conditions = []
-    for b in sorted(net.conditions):
-        entry = {"id": b}
-        if labeling is not None:
-            entry["label"] = labeling[b]
-        conditions.append(entry)
-    events = [
-        {"id": e.id, "pre": sorted(e.pre), "post": sorted(e.post)} for e in net.events
-    ]
-    return {"conditions": conditions, "events": events}
-
-
 def _json_array(lines):
     """A JSON array at the second level of a document, one item per line."""
     return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
@@ -309,9 +290,10 @@ def _json_array(lines):
 def write_net(net: PetriNet, labeling: Optional[Labeling] = None) -> str:
     """Serialize a net (and optional labeling) as the JSON document format.
 
-    The text is :func:`net_document` as JSON, laid out as README shows it:
-    one condition or event per line.  Strings are escaped to ASCII by the
-    C function ``json.dumps`` itself uses.
+    Conditions sorted by id, with their labels when a labeling is given,
+    and events in net order with sorted pre and post ids, laid out as
+    README shows it: one condition or event per line.  Strings are
+    escaped to ASCII by the C function ``json.dumps`` itself uses.
     """
     if labeling is not None:
         check_labeling(net, labeling)
@@ -345,8 +327,8 @@ def read_net(text: str):
 
     Labels are all-or-none across conditions and must be distinct
     naturals.  Duplicate condition ids are rejected here, and the net
-    is checked with :func:`validate`, so every net this returns passes
-    it without hard errors.
+    gets :func:`validate`'s hard checks, so every net this returns passes
+    it without hard errors; the warnings are left to :func:`validate`.
     """
     try:
         doc = json.loads(text)
@@ -388,8 +370,8 @@ def read_net(text: str):
         e = entry.get("id")
         if not isinstance(e, str):
             raise NetStructureError("event id must be a string")
-        events.append(Event._trusted(e, _refs(entry, e, "pre"), _refs(entry, e, "post")))
+        events.append(Event(e, _refs(entry, e, "pre"), _refs(entry, e, "post")))
 
     net = PetriNet(condition_ids, events)
-    validate(net)
+    _check_structure(net)
     return net, (labels or None)

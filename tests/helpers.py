@@ -6,8 +6,9 @@ search over all condition bijections, the canonical polynomial as the
 least encoding over all labelings, the product net by a nested loop over
 event pairs, decomposability by a sweep over
 every support bipartition that looks for a complete rank-1 grid of
-coefficients, and polynomial text by one regular expression per whole
-term rather than by splitting on separators.
+coefficients, polynomial text by one regular expression per whole
+term rather than by splitting on separators, and a net's JSON text as
+the document of dicts and lists that ``json.loads`` must give back.
 """
 
 import re
@@ -114,6 +115,22 @@ def product_oracle(n1, n2):
                 post |= {f"R:{b}" for b in e2.post}
             events.append(Event(name, pre, post))
     return PetriNet(conditions, events)
+
+
+def net_document(net, labeling=None):
+    """write_net's document as plain dicts and lists, for comparing with
+    json.loads of its text: conditions sorted by id, with labels when a
+    labeling is given, and events in net order with sorted pre and post."""
+    conditions = []
+    for b in sorted(net.conditions):
+        entry = {"id": b}
+        if labeling is not None:
+            entry["label"] = labeling[b]
+        conditions.append(entry)
+    events = [
+        {"id": e.id, "pre": sorted(e.pre), "post": sorted(e.post)} for e in net.events
+    ]
+    return {"conditions": conditions, "events": events}
 
 
 def factor_oracle(n):

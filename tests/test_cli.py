@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import petripoly
-from petripoly import PetriNet, encode, print_poly, read_net, write_net
+from petripoly import Event, PetriNet, decode, encode, parse_poly, print_poly, read_net, write_net
 from petripoly.cli import run
 
 from helpers import cycle_net, union
@@ -192,6 +192,17 @@ def test_beyond_reach_exits_3_with_one_line(tmp_path, capsys, argv, net):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("verb", ["encode", "decompose"])
+def test_label_too_large_to_encode_exits_3_with_one_line(tmp_path, capsys, verb):
+    path = tmp_path / "net.json"
+    net = PetriNet(["a", "b"], [Event("e", ["a"], ["b"])])
+    path.write_text(write_net(net, {"a": 0, "b": 10**30}))  # 1 << 10**30 overflows
+    assert run([verb, str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: label of condition 'b' is too large to encode\n"
+
+
 def test_mul_and_add(capsys):
     assert run(["mul", "-p", "x+1", "-p", "y^2+1"]) == 0
     assert capsys.readouterr().out == "x*y^2 + y^2 + x + 1\n"
@@ -245,9 +256,11 @@ def test_decompose_nets_flag(capsys):
     out = capsys.readouterr().out
     lines, _, rest = out.partition("[")
     assert lines == "x + 1\ny^2 + 1\n"
+    decoded = [decode(parse_poly(factor)) for factor in ("x + 1", "y^2 + 1")]
+    assert "[" + rest == "[" + ", ".join(write_net(*pair) for pair in decoded) + "]\n"
     docs = json.loads("[" + rest)
-    assert len(docs) == 2
     assert docs[0]["conditions"] == [{"id": "c0", "label": 0}]
+    assert [read_net(json.dumps(doc)) for doc in docs] == decoded
 
 
 def test_decompose_requires_one_input(relay_file, capsys):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,10 @@ from petripoly import (
     Event,
     PetriNet,
     PreconditionError,
+    are_isomorphic,
     canonical_poly,
     decode,
+    decompose,
     encode,
     isolated_conditions,
     parse_poly,
@@ -74,6 +77,18 @@ def test_encode_rejects_bad_labeling(relay_net):
         encode(relay_net, {"b0": 0})
     with pytest.raises(PreconditionError):
         encode(relay_net, {"b0": 1, "b1": 1})
+    with pytest.raises(PreconditionError, match="label of condition 'b1' is too large to encode"):
+        encode(relay_net, {"b0": 0, "b1": 10**30})  # 2^label would overflow the shift
+
+
+def test_readme_library_block():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert "# x*y^2 + 1\n" in block and str(scope["poly"]) == "x*y^2 + 1"
+    assert "# [x*y^2 + 1]" in block and list(map(str, decompose(scope["poly"]))) == ["x*y^2 + 1"]
+    assert "isomorphic to `net`" in block and are_isomorphic(scope["back"], scope["net"])
 
 
 # ----------------------------------------------------------------- decode

@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,6 @@ from petripoly import (
     attach,
     check_labeling,
     isolated_conditions,
-    net_document,
     product,
     read_net,
     to_dot,
@@ -28,6 +27,7 @@ from helpers import (
     disjoint_labelings,
     is_valid_witness,
     iso_oracle,
+    net_document,
     product_oracle,
     random_labeling,
     random_net,
@@ -39,18 +39,36 @@ from helpers import (
 
 # ------------------------------------------------------------------ Event
 
-def test_trusted_event_behaves_like_public_event():
+def test_event_keeps_frozensets_and_coerces_other_iterables():
     pre, post = frozenset({"a", "b"}), frozenset({"c"})
-    public, trusted = Event("e", pre, post), Event._trusted("e", pre, post)
-    assert trusted == public and public == trusted
-    assert hash(trusted) == hash(public)
-    assert repr(trusted) == repr(public)
-    assert Event._trusted("e", frozenset(), frozenset()) == Event("e")
+    event = Event("e", pre, post)
+    assert event.pre is pre and event.post is post
+    coerced = Event("e", ["b", "a", "a"], {"c"})
+    assert type(coerced.pre) is frozenset and type(coerced.post) is frozenset
+    assert coerced == event and event == coerced
+    assert hash(coerced) == hash(event)
+    assert repr(event) == f"Event(id='e', pre={pre!r}, post={post!r})"
+    assert Event("e") == Event("e", frozenset(), frozenset())
     with pytest.raises(FrozenInstanceError):
-        trusted.pre = frozenset()
-    assert trusted.pre is pre
-    coerced = Event("e", ["b", "a", "a"], {"c"})  # the public constructor still converts
-    assert type(coerced.pre) is frozenset and coerced == trusted
+        event.pre = frozenset()
+    moved = replace(event, post={"d"})
+    assert moved == Event("e", pre, frozenset({"d"})) and moved.pre is pre
+
+
+def test_net_keeps_frozenset_and_tuple_and_coerces_other_iterables():
+    conditions, events = frozenset({"a", "b"}), (Event("e", {"a"}, {"b"}),)
+    net = PetriNet(conditions, events)
+    assert net.conditions is conditions and net.events is events
+    coerced = PetriNet(["b", "a", "a"], list(events))
+    assert type(coerced.conditions) is frozenset and type(coerced.events) is tuple
+    assert coerced == net and net == coerced
+    assert hash(coerced) == hash(net)
+    assert repr(net) == f"PetriNet(conditions={conditions!r}, events={events!r})"
+    assert PetriNet() == PetriNet(frozenset(), ())
+    with pytest.raises(FrozenInstanceError):
+        net.events = ()
+    moved = replace(net, events=[])
+    assert moved == PetriNet(conditions) and moved.conditions is conditions
 
 
 # --------------------------------------------------------------- validate
@@ -480,6 +498,18 @@ def test_read_net_rejects_bad_documents(doc, message):
     with pytest.raises(NetStructureError) as caught:
         read_net(doc)
     assert str(caught.value) == message
+
+
+def test_read_net_leaves_the_warnings_to_validate(monkeypatch):
+    text = write_net(PetriNet(["b", "z"], [Event("e", [], ["b"])]))
+    with monkeypatch.context() as patched:
+        patched.setattr("petripoly.net.isolated_conditions", _raise)
+        net, _ = read_net(text)
+    assert validate(net) == ["isolated condition z", "event e has empty pre"]
+
+
+def _raise(*args):
+    raise AssertionError("read_net computed a warning")
 
 
 def test_read_net_rejects_bad_json():
