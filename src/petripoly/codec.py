@@ -11,6 +11,7 @@ Conditions occurring in no event leave no trace in the polynomial, so
 the round trip is only faithful up to isolated conditions.
 """
 
+from bisect import bisect_left
 from collections import Counter
 
 from .errors import PreconditionError
@@ -38,7 +39,7 @@ class _Bits(dict):
     def __missing__(self, b):
         try:
             bit = 1 << self.labeling[b]
-        except OverflowError:  # the shift count is past what CPython can represent
+        except (OverflowError, MemoryError):  # a shift count CPython cannot represent or allocate
             raise PreconditionError(f"label of condition {b!r} is too large to encode") from None
         self[b] = bit
         return bit
@@ -94,15 +95,20 @@ def canonical_poly(net: PetriNet) -> Polynomial:
     isolated conditions get equal canonical polynomials.
 
     Found by depth-first branch and bound.  Events with equal (pre, post)
-    make one term under every labeling, so the search hands out labels
-    n-1, n-2, ..., 0 and tracks each term's exponents over the labeled
-    conditions.  A term's u_pre unlabeled conditions in pre add at least
-    2^u_pre - 1 to i, and its u unlabeled ones in pre | post at least
-    2^u - 1 to i + j, so the descending list of these partial terms is a
-    lower bound on the sort key of every completion; a branch whose bound
-    is not below the best key found so far is cut.  Conditions that sit
-    in the same pre-sets and the same post-sets (twins, such as isolated
-    conditions) are interchangeable, so one of each class is tried.
+    make one term under every labeling, so the search tracks each term's
+    exponents over the labeled conditions.  The free labels [lo, hi] go
+    out from either end: a term's u unlabeled conditions take distinct
+    labels in [lo, hi], so they add at least (2^u - 1) * 2^lo to i + j
+    (u counted over pre | post) and at least (2^u_pre - 1) * 2^lo to i
+    (u_pre counted over pre).  The descending list of these partial terms
+    is a lower bound on the sort key of every completion, and a branch
+    whose bound is not below the best key found so far is cut.  A node
+    gives hi to one condition, unless a best key exists, two or more of
+    these children are below it and fewer of those that give lo (bounded
+    from lo + 1 up) are; so the first descent labels from the top, and a
+    cycle gets its small labels next to its large ones early.  Conditions
+    that sit in the same pre-sets and the same post-sets (twins, such as
+    isolated conditions) are interchangeable, so one of each class is tried.
     """
     counts = Counter((event.pre, event.post) for event in net.events)
     counts[(frozenset(), frozenset())] += 1
@@ -117,40 +123,58 @@ def canonical_poly(net: PetriNet) -> Polynomial:
     parts = [(0, 0, len(pre | post), len(pre)) for pre, post in groups]
     entries = [((1 << u) - 1, (1 << u_pre) - 1, counts[group])
                for (_, _, u, u_pre), group in zip(parts, groups)]
-    best, best_order, order = None, None, []
+    best, best_steps, steps = None, None, []
 
-    def search(label, parts, entries, key):
-        nonlocal best, best_order
-        if label < 0:
-            best, best_order = key, order[:]
-            return
-        children = []
+    def children(label, lo, parts, entries, stop=0):
+        """Per twin class with a free member, sorted: (bound, class, parts,
+        entries) after that member takes label and the rest take labels from
+        lo; None as soon as stop (if not 0) of the bounds are below the best key."""
+        bit, unit, out = 1 << label, 1 << lo, []
         for k, count in enumerate(left):
             if count:
                 parts_k, entries_k = parts[:], entries[:]
                 for g, p, q in effects[k]:
                     grade, i, u, u_pre = parts[g]
-                    grade += (p + q) << label
-                    i += p << label
-                    u, u_pre = u - 1, u_pre - p
+                    grade, i, u, u_pre = grade + (p + q) * bit, i + p * bit, u - 1, u_pre - p
                     parts_k[g] = grade, i, u, u_pre
-                    entries_k[g] = grade + (1 << u) - 1, i + (1 << u_pre) - 1, entries[g][2]
-                children.append((sorted(entries_k, reverse=True), k, parts_k, entries_k))
-        children.sort(key=lambda child: child[:2])
-        for key_k, k, parts_k, entries_k in children:
+                    entries_k[g] = (grade + (unit << u) - unit, i + (unit << u_pre) - unit,
+                                    entries[g][2])
+                key_k = sorted(entries_k, reverse=True)
+                out.append((key_k, k, parts_k, entries_k))
+                if stop and key_k < best:
+                    stop -= 1
+                    if not stop:
+                        return None
+        out.sort()  # by bound, then class: the classes differ, so parts are never compared
+        return out
+
+    def search(lo, hi, parts, entries, key):
+        nonlocal best, best_steps
+        if lo > hi:
+            best, best_steps = key, steps[:]
+            return
+        label, branch, lo_k, hi_k = hi, children(hi, lo, parts, entries), lo, hi - 1
+        # (best,) sorts after every child whose bound is below best, before every other
+        below = 0 if best is None else bisect_left(branch, (best,))
+        if below >= 2:
+            unit = 2 << lo
+            shifted = [(grade + (unit << u) - unit, i + (unit << u_pre) - unit, c)
+                       for (grade, i, u, u_pre), (_, _, c) in zip(parts, entries)]
+            low = children(lo, lo + 1, parts, shifted, below)
+            if low is not None:
+                label, branch, lo_k, hi_k = lo, low, lo + 1, hi
+        for key_k, k, parts_k, entries_k in branch:
             if best is not None and key_k >= best:
                 break
             left[k] -= 1
-            order.append(k)
-            search(label - 1, parts_k, entries_k, key_k)
-            order.pop()
+            steps.append((label, k))
+            search(lo_k, hi_k, parts_k, entries_k, key_k)
+            steps.pop()
             left[k] += 1
 
-    search(len(net.conditions) - 1, parts, entries, None)
+    search(0, len(net.conditions) - 1, parts, entries, None)
     members = [iter(members) for members in twins.values()]
-    labeling = {next(members[k]): label
-                for label, k in zip(range(len(best_order) - 1, -1, -1), best_order)}
-    return encode(net, labeling)
+    return encode(net, {next(members[k]): label for label, k in best_steps})
 
 
 def roundtrip_check(net: PetriNet, labeling: Labeling) -> bool:

@@ -243,6 +243,19 @@ def random_net(rng, max_conditions=5, max_events=6, keep_isolated=False):
     return PetriNet(used, events)
 
 
+def sparse_net(rng, n, m):
+    """n >= 1 conditions, all used, and m >= 1 events with 1-2 pre and 1-2
+    post conditions; a condition no event drew joins a random event's post-set."""
+    conditions = [f"b{k}" for k in range(n)]
+    sides = [tuple(rng.sample(conditions, rng.randint(1, min(2, n))) for _ in range(2))
+             for _ in range(m)]
+    used = {b for pre, post in sides for b in pre + post}
+    for b in conditions:
+        if b not in used:
+            rng.choice(sides)[1].append(b)
+    return PetriNet(conditions, [Event(f"e{k}", pre, post) for k, (pre, post) in enumerate(sides)])
+
+
 def random_labeling(rng, net, offset=0):
     """A random injective labeling with values from a smallish pool."""
     ids = sorted(net.conditions)

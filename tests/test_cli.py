@@ -192,11 +192,15 @@ def test_beyond_reach_exits_3_with_one_line(tmp_path, capsys, argv, net):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("label", [
+    10**30,  # 1 << 10**30 overflows
+    2**63,  # 1 << 2**63 is refused by the allocator at once: MemoryError
+])
 @pytest.mark.parametrize("verb", ["encode", "decompose"])
-def test_label_too_large_to_encode_exits_3_with_one_line(tmp_path, capsys, verb):
+def test_label_too_large_to_encode_exits_3_with_one_line(tmp_path, capsys, verb, label):
     path = tmp_path / "net.json"
     net = PetriNet(["a", "b"], [Event("e", ["a"], ["b"])])
-    path.write_text(write_net(net, {"a": 0, "b": 10**30}))  # 1 << 10**30 overflows
+    path.write_text(write_net(net, {"a": 0, "b": label}))
     assert run([verb, str(path)]) == 3
     out = capsys.readouterr()
     assert out.out == ""

@@ -29,6 +29,7 @@ from helpers import (
     random_poly_terms,
     relabeled_copy,
     rename_conditions,
+    sparse_net,
     union,
 )
 from petripoly import Polynomial
@@ -214,6 +215,8 @@ def test_canonical_poly_beyond_the_sweep():
         net = random_net(rng, max_conditions=10, max_events=10)
         if len(net.conditions) >= 9:
             nets.append(net)
+    # the benchmark's sparse shape, 1-2 pre and 1-2 post conditions per event
+    nets += [sparse_net(random.Random(f"sparse/12/{k}"), 12, 12) for k in range(3)]
     for net in nets:
         canon = canonical_poly(net)
         used = net.conditions - isolated_conditions(net)
@@ -221,6 +224,24 @@ def test_canonical_poly_beyond_the_sweep():
         assert canon <= encode(net, {b: t for t, b in enumerate(sorted(net.conditions))})
         for _ in range(3):
             assert canonical_poly(relabeled_copy(rng, net)) == canon
+
+
+def cycle_closed_form(n):
+    """C_n's canonical polynomial: walked against its arrows from the
+    condition labeled 0, the labels read 0, n-1, 1, n-2, 2, ..."""
+    walk = [k // 2 if k % 2 == 0 else n - 1 - k // 2 for k in range(n)]
+    return Polynomial([((0, 0), 1)] + [((1 << walk[(k + 1) % n], 1 << walk[k]), 1)
+                                       for k in range(n)])
+
+
+def test_canonical_poly_of_cycles_has_closed_form():
+    for n in range(1, 9):
+        assert cycle_closed_form(n) == canonical_oracle(cycle_net(n, "c"))
+    # beyond the n! sweep
+    for n in range(9, 17):
+        assert canonical_poly(cycle_net(n, "c")) == cycle_closed_form(n)
+    copy = relabeled_copy(random.Random(16), cycle_net(16, "c"))
+    assert canonical_poly(copy) == cycle_closed_form(16)
 
 
 # -------------------------------------------------------------- round trip
