@@ -44,17 +44,17 @@ def _read_net_file(path):
         return read_net(fh.read())
 
 
-def _ensure_labels(n, labels):
+def _read_labeled_net(path):
+    """The net and its labels, for encoding: labels 0, 1, ... by sorted id
+    when the file has none, and a note and a warning on stderr for what the
+    encoding cannot show."""
+    n, labels = _read_net_file(path)
     if labels is None:
         print(
             "note: input carries no labels; assigning 0,1,... by sorted condition id",
             file=sys.stderr,
         )
-        return {b: t for t, b in enumerate(sorted(n.conditions))}
-    return labels
-
-
-def _warn_isolated(n):
+        labels = {b: t for t, b in enumerate(sorted(n.conditions))}
     dropped = sorted(isolated_conditions(n))
     if dropped:
         print(
@@ -62,6 +62,7 @@ def _warn_isolated(n):
             + ", ".join(dropped),
             file=sys.stderr,
         )
+    return n, labels
 
 
 def _poly_inputs(args, want):
@@ -75,10 +76,7 @@ def _poly_inputs(args, want):
 
 
 def _cmd_encode(args):
-    n, labels = _read_net_file(args.net)
-    labels = _ensure_labels(n, labels)
-    _warn_isolated(n)
-    print(print_poly(encode(n, labels)))
+    print(print_poly(encode(*_read_labeled_net(args.net))))
     return 0
 
 
@@ -124,10 +122,7 @@ def _cmd_decompose(args):
     if args.poly is not None:
         poly = parse_poly(args.poly)
     else:
-        n, labels = _read_net_file(args.net)
-        labels = _ensure_labels(n, labels)
-        _warn_isolated(n)
-        poly = encode(n, labels)
+        poly = encode(*_read_labeled_net(args.net))
     factors = decompose(poly)
     for factor in factors:
         print(print_poly(factor))

@@ -113,17 +113,16 @@ def canonical_poly(net: PetriNet) -> Polynomial:
     counts = Counter((event.pre, event.post) for event in net.events)
     counts[(frozenset(), frozenset())] += 1
     groups = list(counts)
-    twins = {}
-    for b in sorted(net.conditions):
-        twins.setdefault(tuple((b in pre, b in post) for pre, post in groups), []).append(b)
+    twins = Counter(tuple((b in pre, b in post) for pre, post in groups)
+                    for b in sorted(net.conditions))
     effects = [[(g, p, q) for g, (p, q) in enumerate(signature) if p or q]
                for signature in twins]
-    left = [len(members) for members in twins.values()]
+    left = list(twins.values())
     # per term: labeled part of i + j and of i, unlabeled in pre | post and in pre
     parts = [(0, 0, len(pre | post), len(pre)) for pre, post in groups]
     entries = [((1 << u) - 1, (1 << u_pre) - 1, counts[group])
                for (_, _, u, u_pre), group in zip(parts, groups)]
-    best, best_steps, steps = None, None, []
+    best = None
 
     def children(label, lo, parts, entries, stop=0):
         """Per twin class with a free member, sorted: (bound, class, parts,
@@ -149,11 +148,11 @@ def canonical_poly(net: PetriNet) -> Polynomial:
         return out
 
     def search(lo, hi, parts, entries, key):
-        nonlocal best, best_steps
+        nonlocal best
         if lo > hi:
-            best, best_steps = key, steps[:]
+            best = key
             return
-        label, branch, lo_k, hi_k = hi, children(hi, lo, parts, entries), lo, hi - 1
+        branch, lo_k, hi_k = children(hi, lo, parts, entries), lo, hi - 1
         # (best,) sorts after every child whose bound is below best, before every other
         below = 0 if best is None else bisect_left(branch, (best,))
         if below >= 2:
@@ -162,19 +161,17 @@ def canonical_poly(net: PetriNet) -> Polynomial:
                        for (grade, i, u, u_pre), (_, _, c) in zip(parts, entries)]
             low = children(lo, lo + 1, parts, shifted, below)
             if low is not None:
-                label, branch, lo_k, hi_k = lo, low, lo + 1, hi
+                branch, lo_k, hi_k = low, lo + 1, hi
         for key_k, k, parts_k, entries_k in branch:
             if best is not None and key_k >= best:
                 break
             left[k] -= 1
-            steps.append((label, k))
             search(lo_k, hi_k, parts_k, entries_k, key_k)
-            steps.pop()
             left[k] += 1
 
-    search(0, len(net.conditions) - 1, parts, entries, None)
-    members = [iter(members) for members in twins.values()]
-    return encode(net, {next(members[k]): label for label, k in best_steps})
+    search(0, len(net.conditions) - 1, parts, entries, sorted(entries, reverse=True))
+    # at a leaf every u is 0, so each entry is its term, and distinct groups get distinct (i, j)
+    return Polynomial._trusted({(i, grade - i): coeff for grade, i, coeff in best})
 
 
 def roundtrip_check(net: PetriNet, labeling: Labeling) -> bool:

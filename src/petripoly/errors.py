@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["PetripolyError", "ParseError", "NetStructureError", "PreconditionError"]
+
 
 class PetripolyError(Exception):
     """Base class for all errors raised by this package."""

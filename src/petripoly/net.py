@@ -165,32 +165,23 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
     """
     check_labeling(n1, l1)
     check_labeling(n2, l2)
-    left_by_label = {label: b for b, label in l1.items()}
-    right_map = {}  # right condition id -> id of its class in the result
-    fresh = []
-    for b2 in sorted(n2.conditions):
-        if l2[b2] in left_by_label:
-            right_map[b2] = left_by_label[l2[b2]]
-        else:
-            fresh.append(b2)
-    fresh_ids = _unique_ids(sorted(n1.conditions) + fresh)[len(n1.conditions):]
-    right_map.update(zip(fresh, fresh_ids))
+    # label -> condition id in the result: the first net's ids, then fresh
+    # ids for the second net's unseen labels, renamed apart from the first's
+    by_label = {label: b for b, label in l1.items()}
+    fresh = [b for b in sorted(n2.conditions) if l2[b] not in by_label]
+    by_label.update(zip(map(l2.__getitem__, fresh),
+                        _unique_ids(sorted(n1.conditions) + fresh)[len(n1.conditions):]))
 
     event_ids = _unique_ids([e.id for e in n1.events] + [e.id for e in n2.events] + ["star"])
     events = [
         Event(name, event.pre, event.post)
         for name, event in zip(event_ids, n1.events)
     ]
-    mapped = right_map.__getitem__
     for name, event in zip(event_ids[len(n1.events):], n2.events):
-        events.append(Event(name, frozenset(map(mapped, event.pre)),
-                            frozenset(map(mapped, event.post))))
+        events.append(Event(name, frozenset(by_label[l2[b]] for b in event.pre),
+                            frozenset(by_label[l2[b]] for b in event.post)))
     events.append(Event(event_ids[-1]))
-
-    labeling = {b: label for b, label in l1.items()}
-    labeling.update({right_map[b]: label for b, label in l2.items()})
-    net = PetriNet(set(n1.conditions) | set(right_map.values()), events)
-    return net, labeling
+    return PetriNet(by_label.values(), events), {b: label for label, b in by_label.items()}
 
 
 def _event_groups(net):

@@ -26,9 +26,7 @@ __all__ = [
     "ONE",
     "tau_nat",
     "nat_of_bits",
-    "tau_poly",
     "disjoint_support",
-    "compare",
     "parse_poly",
     "print_poly",
 ]
@@ -61,8 +59,8 @@ class Polynomial:
     """Immutable sparse polynomial with natural-number coefficients.
 
     ``+`` and ``*`` are the semiring operations.  The comparison
-    operators implement the total order described under :func:`compare`,
-    and ``str()`` yields the canonical text form of :func:`print_poly`.
+    operators implement the total order of :meth:`sort_key`, and ``str()``
+    yields the canonical text form of :func:`print_poly`.
     The constructor checks every term; results built from valid terms
     (``+``, ``*``, parsing, ``encode``, factors) skip it via :meth:`_trusted`.
     """
@@ -108,11 +106,12 @@ class Polynomial:
         return tau_nat(mask)
 
     def sort_key(self) -> tuple:
-        """Key realizing the total order of :func:`compare`.
+        """Key of the total order on polynomials.
 
         Terms are listed in descending graded-lexicographic order of
-        their monomials, each as a ``(i + j, i, coefficient)`` triple;
-        keys compare as plain tuples.
+        their monomials, each as a ``(i + j, i, coefficient)`` triple.
+        Keys compare as plain tuples: term by term, by grade, then
+        x-exponent, then coefficient, and a strict prefix is smaller.
         """
         return tuple(sorted(((i + j, i, a) for (i, j), a in self._terms.items()), reverse=True))
 
@@ -161,26 +160,9 @@ ZERO = Polynomial()
 ONE = Polynomial.constant(1)
 
 
-def tau_poly(p: Polynomial) -> frozenset[int]:
-    """Binary support of a polynomial."""
-    return p.support()
-
-
 def disjoint_support(p: Polynomial, q: Polynomial) -> bool:
     """True when no bit position occurs in exponents of both polynomials."""
     return not (p.support() & q.support())
-
-
-def compare(p: Polynomial, q: Polynomial) -> int:
-    """Total order on polynomials: -1, 0 or +1.
-
-    Each polynomial's terms are listed in descending graded-lex order of
-    the monomials; the two lists compare lexicographically, terms by
-    grade, then x-exponent, then coefficient (a strict prefix is
-    smaller).
-    """
-    a, b = p.sort_key(), q.sort_key()
-    return (a > b) - (a < b)
 
 
 def print_poly(p: Polynomial) -> str:

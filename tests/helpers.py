@@ -4,11 +4,12 @@ The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
 search over all condition bijections, the canonical polynomial as the
 least encoding over all labelings, the product net by a nested loop over
-event pairs, decomposability by a sweep over
-every support bipartition that looks for a complete rank-1 grid of
-coefficients, polynomial text by one regular expression per whole
-term rather than by splitting on separators, and a net's JSON text as
-the document of dicts and lists that ``json.loads`` must give back.
+event pairs, the attached net by one condition map per side,
+decomposability by a sweep over every support bipartition that looks for
+a complete rank-1 grid of coefficients, polynomial text by one regular
+expression per whole term rather than by splitting on separators, and a
+net's JSON text as the document of dicts and lists that ``json.loads``
+must give back.
 """
 
 import re
@@ -24,7 +25,6 @@ from petripoly import (
     are_isomorphic,
     encode,
     nat_of_bits,
-    tau_poly,
 )
 
 
@@ -117,6 +117,35 @@ def product_oracle(n1, n2):
     return PetriNet(conditions, events)
 
 
+def attach_oracle(n1, l1, n2, l2):
+    """attach by two maps, the first net's condition of each label and each
+    second-net condition's id in the result, with a second labeling build;
+    fresh condition ids and all event ids are made unique by '#2', '#3',
+    ... suffixes against the ids before them."""
+    def suffixed(names):
+        out, used = [], set()
+        for candidate in names:
+            name, k = candidate, 2
+            while name in used:
+                name, k = f"{candidate}#{k}", k + 1
+            used.add(name)
+            out.append(name)
+        return out
+
+    left_by_label = {label: b for b, label in l1.items()}
+    right_map = {b: left_by_label[l2[b]] for b in n2.conditions if l2[b] in left_by_label}
+    fresh = [b for b in sorted(n2.conditions) if b not in right_map]
+    right_map.update(zip(fresh, suffixed(sorted(n1.conditions) + fresh)[len(n1.conditions):]))
+    event_ids = iter(suffixed([e.id for e in n1.events] + [e.id for e in n2.events] + ["star"]))
+    events = [Event(next(event_ids), e.pre, e.post) for e in n1.events]
+    events += [Event(next(event_ids), {right_map[b] for b in e.pre},
+                     {right_map[b] for b in e.post}) for e in n2.events]
+    events.append(Event(next(event_ids)))
+    labeling = dict(l1)
+    labeling.update({right_map[b]: label for b, label in l2.items()})
+    return PetriNet(set(n1.conditions) | set(right_map.values()), events), labeling
+
+
 def net_document(net, labeling=None):
     """write_net's document as plain dicts and lists, for comparing with
     json.loads of its text: conditions sorted by id, with labels when a
@@ -177,7 +206,7 @@ def splits_oracle(poly):
         if len(poly.terms) > 1:
             return True
         return any(content % d == 0 for d in range(2, content))  # composite constant
-    support = sorted(tau_poly(poly))
+    support = sorted(poly.support())
     for size in range(1, len(support)):
         for sub in combinations(support[1:], size - 1):
             s1 = {support[0], *sub}

@@ -222,6 +222,8 @@ def test_canonical_poly_beyond_the_sweep():
         used = net.conditions - isolated_conditions(net)
         assert canon.support() == frozenset(range(len(used)))
         assert canon <= encode(net, {b: t for t, b in enumerate(sorted(net.conditions))})
+        decoded, _ = decode(canon)
+        assert are_isomorphic(decoded, PetriNet(used, net.events)) is not None
         for _ in range(3):
             assert canonical_poly(relabeled_copy(rng, net)) == canon
 

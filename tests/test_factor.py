@@ -19,7 +19,6 @@ from petripoly import (
     parse_poly,
     product,
     split_once,
-    tau_poly,
 )
 
 from helpers import (
@@ -175,7 +174,7 @@ def test_decompose_product_of_many_primes():
     primes = []
     while len(primes) < 10:  # the k-th prime has support {2k, 2k+1}
         poly = Polynomial(random_poly_terms(rng, max_support=2, max_terms=2, max_coeff=3))
-        if tau_poly(poly) == {0, 1} and gcd(*poly.terms.values()) == 1 and not splits_oracle(poly):
+        if poly.support() == {0, 1} and gcd(*poly.terms.values()) == 1 and not splits_oracle(poly):
             k = 2 * len(primes)
             primes.append(Polynomial({(i << k, j << k): a for (i, j), a in poly.terms.items()}))
     whole = ONE

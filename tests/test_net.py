@@ -23,6 +23,7 @@ from petripoly import (
 )
 
 from helpers import (
+    attach_oracle,
     cycle_net,
     disjoint_labelings,
     is_valid_witness,
@@ -240,6 +241,38 @@ def test_attach_renames_clashing_ids():
     assert len(glued.conditions) == 2
     ids = [e.id for e in glued.events]
     assert len(ids) == len(set(ids)) == 3
+
+
+def test_attach_matches_oracle():
+    rng = random.Random(31)
+    ids = ["a", "b", "a#2", "star"]  # condition and event ids alike, clashing across sides
+
+    def labeled_net():
+        conditions = rng.sample(ids, rng.randint(0, 3))
+        return PetriNet(conditions, [
+            Event(rng.choice(ids), rng.sample(conditions, rng.randint(0, len(conditions))),
+                  rng.sample(conditions, rng.randint(0, len(conditions))))
+            for _ in range(rng.randint(0, 3))
+        ]), dict(zip(conditions, rng.sample(range(4), len(conditions))))
+
+    pairs = [(labeled_net(), labeled_net()) for _ in range(400)]
+    assert any(set(l1.values()) & set(l2.values()) for (_, l1), (_, l2) in pairs)
+    assert any(b in n1.conditions and l2[b] not in l1.values()  # a fresh id that clashes
+               for (n1, l1), (n2, l2) in pairs for b in n2.conditions)
+    assert any(e.id == "star" for (n1, _), (n2, _) in pairs for e in n1.events + n2.events)
+    renamed_conditions = renamed_events = 0
+    for (n1, l1), (n2, l2) in pairs:
+        got, got_labels = attach(n1, l1, n2, l2)
+        want, want_labels = attach_oracle(n1, l1, n2, l2)
+        assert got.conditions == want.conditions
+        assert [(e.id, e.pre, e.post) for e in got.events] == [
+            (e.id, e.pre, e.post) for e in want.events
+        ]
+        assert got_labels == want_labels
+        given = n1.conditions | n2.conditions | {e.id for e in n1.events + n2.events}
+        renamed_conditions += any(b.endswith("#2") for b in got.conditions - given)
+        renamed_events += any(e.id.endswith("#2") and e.id not in given for e in got.events)
+    assert renamed_conditions and renamed_events
 
 
 def test_attach_requires_valid_labelings(labeled_chain):
