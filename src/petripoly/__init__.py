@@ -8,12 +8,25 @@ polynomial into primes decomposes the net into prime components.
 
 __version__ = "0.1.0"
 
-# each `from .x import *` also binds the submodule x, whose __all__ it follows
-from .errors import *
-from .polynomial import *
-from .net import *
-from .codec import *
-from .factor import *
+_MODULES = ("errors", "polynomial", "net", "codec", "factor")
 
-__all__ = ["__version__", *errors.__all__, *polynomial.__all__, *net.__all__,
-           *codec.__all__, *factor.__all__]
+
+def _load():
+    """Import the modules; bind each one's ``__all__`` here, for plain lookups."""
+    from importlib import import_module
+    names = ["__version__"]
+    for module in [import_module(f"{__name__}.{m}") for m in _MODULES]:
+        names += module.__all__
+        globals().update((name, getattr(module, name)) for name in module.__all__)
+    globals()["__all__"] = names
+    return globals()
+
+
+def __getattr__(name):  # PEP 562: `import petripoly` alone loads no submodule
+    if (name == "__all__" or not name.startswith("_")) and name in _load():
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return list(_load())

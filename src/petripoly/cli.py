@@ -3,28 +3,15 @@
 One verb per invocation; deterministic output on stdout, diagnostics on
 stderr.  Exit codes: 0 success (and isomorphic), 1 not isomorphic,
 2 usage or input-format errors, 3 precondition violations (including
-nets too large for the recursive searches).
+nets too large for the recursive searches).  Each verb imports what it
+calls, so ``petripoly mul`` never loads ``net``.
 """
 
 import argparse
-import json
 import sys
 
 from . import __version__
-from .codec import canonical_poly, decode, encode
 from .errors import ParseError, PreconditionError
-from .factor import decompose
-from .net import (
-    are_isomorphic,
-    attach,
-    isolated_conditions,
-    product,
-    read_net,
-    to_dot,
-    validate,
-    write_net,
-)
-from .polynomial import parse_poly, print_poly
 
 
 class _UsageError(Exception):
@@ -40,6 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_net_file(path):
+    from .net import read_net
     with open(path, encoding="utf-8") as fh:
         return read_net(fh.read())
 
@@ -48,6 +36,7 @@ def _read_labeled_net(path):
     """The net and its labels, for encoding: labels 0, 1, ... by sorted id
     when the file has none, and a note and a warning on stderr for what the
     encoding cannot show."""
+    from .net import isolated_conditions
     n, labels = _read_net_file(path)
     if labels is None:
         print(
@@ -66,6 +55,7 @@ def _read_labeled_net(path):
 
 
 def _poly_inputs(args, want):
+    from .polynomial import parse_poly
     texts = list(args.poly or [])
     for path in args.files or []:
         with open(path, encoding="utf-8") as fh:
@@ -76,11 +66,15 @@ def _poly_inputs(args, want):
 
 
 def _cmd_encode(args):
+    from .codec import encode
+    from .polynomial import print_poly
     print(print_poly(encode(*_read_labeled_net(args.net))))
     return 0
 
 
 def _cmd_decode(args):
+    from .codec import decode
+    from .net import write_net
     (poly,) = _poly_inputs(args, 1)
     n, labels = decode(poly)
     print(write_net(n, labels))
@@ -88,18 +82,21 @@ def _cmd_decode(args):
 
 
 def _cmd_mul(args):
+    from .polynomial import print_poly
     p, q = _poly_inputs(args, 2)
     print(print_poly(p * q))
     return 0
 
 
 def _cmd_add(args):
+    from .polynomial import print_poly
     p, q = _poly_inputs(args, 2)
     print(print_poly(p + q))
     return 0
 
 
 def _cmd_product(args):
+    from .net import product, write_net
     n1, _ = _read_net_file(args.left)
     n2, _ = _read_net_file(args.right)
     print(write_net(product(n1, n2)))
@@ -107,6 +104,7 @@ def _cmd_product(args):
 
 
 def _cmd_attach(args):
+    from .net import attach, write_net
     n1, l1 = _read_net_file(args.left)
     n2, l2 = _read_net_file(args.right)
     if l1 is None or l2 is None:
@@ -117,6 +115,10 @@ def _cmd_attach(args):
 
 
 def _cmd_decompose(args):
+    from .codec import decode, encode
+    from .factor import decompose
+    from .net import write_net
+    from .polynomial import parse_poly, print_poly
     if (args.poly is None) == (args.net is None):
         raise _UsageError("give exactly one input: -p POLY or a net JSON file")
     if args.poly is not None:
@@ -132,6 +134,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_iso(args):
+    import json
+    from .net import are_isomorphic
     n1, _ = _read_net_file(args.left)
     n2, _ = _read_net_file(args.right)
     witness = are_isomorphic(n1, n2)
@@ -143,18 +147,22 @@ def _cmd_iso(args):
 
 
 def _cmd_canon(args):
+    from .codec import canonical_poly
+    from .polynomial import print_poly
     n, _ = _read_net_file(args.net)
     print(print_poly(canonical_poly(n)))
     return 0
 
 
 def _cmd_dot(args):
+    from .net import to_dot
     n, _ = _read_net_file(args.net)
     print(to_dot(n))
     return 0
 
 
 def _cmd_validate(args):
+    from .net import validate
     n, _ = _read_net_file(args.net)
     for warning in validate(n):
         print(warning)

@@ -18,7 +18,6 @@ prime components of the synchronization product.
 
 from itertools import count
 from math import gcd
-from typing import Optional
 
 from .codec import decode, encode
 from .errors import PreconditionError
@@ -124,7 +123,7 @@ def _check_splittable(poly):
         raise PreconditionError("need a nonzero polynomial with positive constant term")
 
 
-def split_once(poly: Polynomial) -> Optional[tuple]:
+def split_once(poly: Polynomial) -> tuple | None:
     """One nontrivial factorization step, or None when ``poly`` is prime.
 
     First pulls out the smallest prime dividing all coefficients.  Then,

@@ -15,7 +15,6 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from .errors import NetStructureError, ParseError, PreconditionError
 
@@ -199,7 +198,7 @@ def _event_groups(net):
     return groups, {b: tuple(tuple(sorted(s)) for s in sides) for b, sides in shapes.items()}
 
 
-def are_isomorphic(n1: PetriNet, n2: PetriNet) -> Optional[tuple[dict, dict]]:
+def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     """Search for an isomorphism; return witness maps or ``None``.
 
     A witness is a pair (beta, eta): a condition bijection and an event
@@ -278,7 +277,7 @@ def _json_array(lines):
     return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
 
 
-def write_net(net: PetriNet, labeling: Optional[Labeling] = None) -> str:
+def write_net(net: PetriNet, labeling: Labeling | None = None) -> str:
     """Serialize a net (and optional labeling) as the JSON document format.
 
     Conditions sorted by id, with their labels when a labeling is given,

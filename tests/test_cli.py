@@ -1,4 +1,6 @@
+import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -373,3 +375,64 @@ def test_roundtrip_through_files(tmp_path, capsys):
     path.write_text(doc)
     assert run(["encode", str(path)]) == 0
     assert capsys.readouterr().out == "x^3*y^3 + 2*x^2 + y + 2\n"
+
+
+# Child interpreters: -B so that no bytecode lands in src/, -S so that no
+# site hook (some import typing) loads modules the package did not ask for.
+SRC = str(Path(petripoly.__file__).parent.parent)
+
+
+def _child(*args):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-B", "-S", *args], capture_output=True, env=env, timeout=60)
+
+
+FRESH_RUN = """
+import io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from petripoly.cli import run
+out, err = io.StringIO(), io.StringIO()
+with redirect_stdout(out), redirect_stderr(err):
+    code = run(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("petripoly."))
+print(repr((code, out.getvalue(), err.getvalue(), loaded, "typing" in sys.modules)))
+"""
+
+# verb -> (arguments from the relay, chain and fork files, modules it loads besides cli and errors)
+VERB_MODULES = {
+    "mul": (lambda r, c, f: ["-p", "x+1", "-p", "y+1"], {"polynomial"}),
+    "add": (lambda r, c, f: ["-p", "x+1", "-p", "y^2"], {"polynomial"}),
+    "product": (lambda r, c, f: [r, c], {"net"}),
+    "attach": (lambda r, c, f: [c, f], {"net"}),
+    "iso": (lambda r, c, f: [r, r], {"net"}),
+    "dot": (lambda r, c, f: [r], {"net"}),
+    "validate": (lambda r, c, f: [r], {"net"}),
+    "encode": (lambda r, c, f: [r], {"codec", "net", "polynomial"}),
+    "decode": (lambda r, c, f: ["-p", "x*y^2 + y^2 + x + 1"], {"codec", "net", "polynomial"}),
+    "canon": (lambda r, c, f: [r], {"codec", "net", "polynomial"}),
+    "decompose": (lambda r, c, f: ["--nets", r], {"codec", "factor", "net", "polynomial"}),
+}
+
+
+def test_import_petripoly_loads_no_submodule():
+    proc = _child("-c", "import sys, petripoly; print(sorted(m for m in sys.modules if 'petripoly' in m))")
+    assert proc.stdout.decode() == "['petripoly']\n", proc.stderr
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_each_verb_loads_only_the_modules_it_calls(verb, relay_file, chain_file, fork_file, capsys):
+    arguments, modules = VERB_MODULES[verb]
+    argv = [verb, *arguments(relay_file, chain_file, fork_file)]
+    proc = _child("-c", FRESH_RUN, *argv)
+    code, out, err, loaded, typing_loaded = ast.literal_eval(proc.stdout.decode())
+    assert loaded == sorted(f"petripoly.{m}" for m in {"cli", "errors", *modules})
+    assert not typing_loaded
+    assert (code, out, err) == (run(argv), *capsys.readouterr())  # same as with every module loaded
+
+
+@pytest.mark.parametrize("argv", [["mul", "-p", "x+1", "-p", "y+1"], ["mul", "-p", "x^", "-p", "1"]])
+def test_module_entry_point_prints_what_run_prints(argv, capsys):
+    proc = _child("-m", "petripoly.cli", *argv)
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
