@@ -6,14 +6,14 @@ multiplies polynomials, attaching adds them, and factoring the
 polynomial into primes decomposes the net into prime components.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
 _MODULES = ("errors", "polynomial", "net", "codec", "factor")
 
 
-def _load():
-    """Import the modules; bind each one's ``__all__`` here, for plain lookups."""
-    from importlib import import_module
+def _load():  # binds each module's __all__ here, so later lookups are plain hits
     names = ["__version__"]
     for module in [import_module(f"{__name__}.{m}") for m in _MODULES]:
         names += module.__all__
@@ -23,6 +23,8 @@ def _load():
 
 
 def __getattr__(name):  # PEP 562: `import petripoly` alone loads no submodule
+    if name in (*_MODULES, "cli"):  # `from petripoly import cli` loads only what cli needs
+        return import_module(f"{__name__}.{name}")
     if (name == "__all__" or not name.startswith("_")) and name in _load():
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

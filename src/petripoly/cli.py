@@ -3,8 +3,7 @@
 One verb per invocation; deterministic output on stdout, diagnostics on
 stderr.  Exit codes: 0 success (and isomorphic), 1 not isomorphic,
 2 usage or input-format errors, 3 precondition violations (including
-nets too large for the recursive searches).  Each verb imports what it
-calls, so ``petripoly mul`` never loads ``net``.
+nets too large for the recursive searches).  Each verb imports what it calls.
 """
 
 import argparse

@@ -414,9 +414,11 @@ VERB_MODULES = {
 }
 
 
-def test_import_petripoly_loads_no_submodule():
-    proc = _child("-c", "import sys, petripoly; print(sorted(m for m in sys.modules if 'petripoly' in m))")
-    assert proc.stdout.decode() == "['petripoly']\n", proc.stderr
+def test_import_petripoly_loads_no_submodule_and_cli_only_errors():
+    show = "print(sorted(m for m in sys.modules if 'petripoly' in m));"
+    proc = _child("-c", f"import sys, petripoly; {show} from petripoly import cli; {show}")
+    assert proc.stdout.decode().splitlines() == [
+        "['petripoly']", "['petripoly', 'petripoly.cli', 'petripoly.errors']"], proc.stderr
 
 
 @pytest.mark.parametrize("verb", sorted(VERB_MODULES))
