@@ -426,6 +426,7 @@ def test_each_verb_loads_only_the_modules_it_calls(verb, relay_file, chain_file,
     arguments, modules = VERB_MODULES[verb]
     argv = [verb, *arguments(relay_file, chain_file, fork_file)]
     proc = _child("-c", FRESH_RUN, *argv)
+    assert proc.returncode == 0, proc.stderr
     code, out, err, loaded, typing_loaded = ast.literal_eval(proc.stdout.decode())
     assert loaded == sorted(f"petripoly.{m}" for m in {"cli", "errors", *modules})
     assert not typing_loaded
