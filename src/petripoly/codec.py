@@ -14,11 +14,12 @@ the round trip is only faithful up to isolated conditions.
 from bisect import bisect_left
 from collections import Counter
 
-from .errors import PreconditionError
+from .errors import NetStructureError, PreconditionError
 from .net import (
     Event,
     Labeling,
     PetriNet,
+    _twin_classes,
     are_isomorphic,
     check_labeling,
     isolated_conditions,
@@ -39,6 +40,8 @@ class _Bits(dict):
     def __missing__(self, b):
         try:
             bit = 1 << self.labeling[b]
+        except KeyError:  # the labeling covers exactly the net's conditions
+            raise NetStructureError(f"net references unknown condition {b!r}") from None
         except (OverflowError, MemoryError):  # a shift count CPython cannot represent or allocate
             raise PreconditionError(f"label of condition {b!r} is too large to encode") from None
         self[b] = bit
@@ -106,22 +109,16 @@ def canonical_poly(net: PetriNet) -> Polynomial:
     gives hi to one condition, unless a best key exists, two or more of
     these children are below it and fewer of those that give lo (bounded
     from lo + 1 up) are; so the first descent labels from the top, and a
-    cycle gets its small labels next to its large ones early.  Conditions
-    that sit in the same pre-sets and the same post-sets (twins, such as
-    isolated conditions) are interchangeable, so one of each class is tried.
+    cycle gets its small labels next to its large ones early.  Twins (see
+    ``net._twin_classes``) are interchangeable, so one of each class is tried.
     """
-    counts = Counter((event.pre, event.post) for event in net.events)
-    counts[(frozenset(), frozenset())] += 1
-    groups = list(counts)
-    twins = Counter(tuple((b in pre, b in post) for pre, post in groups)
-                    for b in sorted(net.conditions))
-    effects = [[(g, p, q) for g, (p, q) in enumerate(signature) if p or q]
-               for signature in twins]
-    left = list(twins.values())
+    groups, twins = _twin_classes(net)
+    groups[frozenset(), frozenset()].append(None)  # the implicit idle event; no twin sits in it
+    effects, left = list(twins), [len(members) for members in twins.values()]
     # per term: labeled part of i + j and of i, unlabeled in pre | post and in pre
     parts = [(0, 0, len(pre | post), len(pre)) for pre, post in groups]
-    entries = [((1 << u) - 1, (1 << u_pre) - 1, counts[group])
-               for (_, _, u, u_pre), group in zip(parts, groups)]
+    entries = [((1 << u) - 1, (1 << u_pre) - 1, len(ids))
+               for (_, _, u, u_pre), ids in zip(parts, groups.values())]
     best = None
 
     def children(label, lo, parts, entries, stop=0):

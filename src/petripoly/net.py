@@ -176,26 +176,35 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
         Event(name, event.pre, event.post)
         for name, event in zip(event_ids, n1.events)
     ]
-    for name, event in zip(event_ids[len(n1.events):], n2.events):
-        events.append(Event(name, frozenset(by_label[l2[b]] for b in event.pre),
-                            frozenset(by_label[l2[b]] for b in event.post)))
+    try:
+        for name, event in zip(event_ids[len(n1.events):], n2.events):
+            events.append(Event(name, frozenset(by_label[l2[b]] for b in event.pre),
+                                frozenset(by_label[l2[b]] for b in event.post)))
+    except KeyError as exc:  # l2 covers exactly n2's conditions
+        raise NetStructureError(f"net references unknown condition {exc.args[0]!r}") from None
     events.append(Event(event_ids[-1]))
     return PetriNet(by_label.values(), events), {b: label for label, b in by_label.items()}
 
 
-def _event_groups(net):
-    """Event ids grouped by (pre, post) pair, in event order, and each
-    condition's degree signature: the sorted (|pre|, |post|) shapes of the
-    events it feeds and of those that feed it.  One pass over the events."""
+def _twin_classes(net):
+    """Event ids grouped by (pre, post) pair, in event order, and the twin
+    classes: conditions in the same pre-sets and post-sets, such as isolated
+    ones, keyed by their (group index, in pre, in post) entries, listed by id.
+    Permuting a class is an automorphism; an isomorphism maps classes onto classes."""
     groups = defaultdict(list)
-    shapes = {b: ([], []) for b in net.conditions}
     for event in net.events:
         groups[(event.pre, event.post)].append(event.id)
-        shape = (len(event.pre), len(event.post))
-        for side, conds in enumerate((event.pre, event.post)):
-            for b in conds:
-                shapes[b][side].append(shape)
-    return groups, {b: tuple(tuple(sorted(s)) for s in sides) for b, sides in shapes.items()}
+    entries = {b: [] for b in net.conditions}
+    try:
+        for g, (pre, post) in enumerate(groups):
+            for b in pre | post:
+                entries[b].append((g, b in pre, b in post))
+    except KeyError as exc:
+        raise NetStructureError(f"net references unknown condition {exc.args[0]!r}") from None
+    classes = defaultdict(list)
+    for b in sorted(net.conditions):
+        classes[tuple(entries[b])].append(b)
+    return groups, classes
 
 
 def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
@@ -203,26 +212,34 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
 
     A witness is a pair (beta, eta): a condition bijection and an event
     bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.
-    Backtracking maps conditions, rarest degree signature first, onto
-    unused ones of equal signature; each distinct (pre, post) pair of
-    ``n1`` is checked once its conditions are mapped, by the number of
-    events its image carries in ``n2``.  Events pair up in group order.
+    Backtracking maps twin classes, rarest signature first, onto unused
+    ones of equal signature (size and the sorted (|pre|, |post|, events, in
+    pre, in post) of its groups), members in id order; each distinct (pre,
+    post) pair of ``n1`` is checked once its conditions are mapped, by the
+    number of events its image carries in ``n2``.  Events pair up in group order.
     """
     if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
         return None
-    groups1, sig1 = _event_groups(n1)
-    groups2, sig2 = _event_groups(n2)
-    if Counter(sig1.values()) != Counter(sig2.values()):
+    (groups1, classes1), (groups2, classes2) = _twin_classes(n1), _twin_classes(n2)
+
+    def signatures(groups, classes):
+        shapes = [(len(pre), len(post), len(ids)) for (pre, post), ids in groups.items()]
+        return [(len(members), tuple(sorted(shapes[g] + (p, q) for g, p, q in key)))
+                for key, members in classes.items()]
+
+    sig1, sig2 = signatures(groups1, classes1), signatures(groups2, classes2)
+    if Counter(sig1) != Counter(sig2):
         return None
     candidates = defaultdict(list)
-    for b2 in sorted(n2.conditions):
-        candidates[sig2[b2]].append(b2)
-    order = sorted(n1.conditions, key=lambda b: (len(candidates[sig1[b]]), b))
-    step = {b: k for k, b in enumerate(order)}
-    due = defaultdict(list)  # k -> pairs of n1 whose last condition is order[k]
+    for sig, members in zip(sig2, classes2.values()):
+        candidates[sig].append(members)
+    order = sorted(((members, candidates[sig]) for sig, members in zip(sig1, classes1.values())),
+                   key=lambda c: len(c[1]))
+    step = {b: k for k, (members, _) in enumerate(order) for b in members}
+    due = defaultdict(list)  # k -> pairs of n1 whose last condition is in order[k]
     for pair in groups1:
         due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
-    beta, used = {}, set()
+    beta, used = {}, set()  # used: first members of n2's mapped classes
 
     def image(pair):
         return tuple(frozenset(map(beta.__getitem__, side)) for side in pair)
@@ -232,21 +249,20 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
             return False
         if k == len(order):
             return True
-        b1 = order[k]
-        for b2 in candidates[sig1[b1]]:
-            if b2 not in used:
-                beta[b1] = b2
-                used.add(b2)
+        members1, options = order[k]
+        for members2 in options:
+            if members2[0] not in used:
+                beta.update(zip(members1, members2))  # deeper classes are reassigned before use
+                used.add(members2[0])
                 if extend(k + 1):
                     return True
-                del beta[b1]
-                used.discard(b2)
+                used.discard(members2[0])
         return False
 
     if not extend(0):
         return None
     eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[image(pair)])}
-    return dict(beta), eta
+    return beta, eta
 
 
 def _dot_name(token):

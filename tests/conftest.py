@@ -1,5 +1,11 @@
 """Small reference nets used across the suite."""
 
+import sys
+
+# Bytecode that the suite wrote under src/ would be read by a later perfbench
+# run in the same tree and turn the compile times it measures into load times.
+sys.dont_write_bytecode = True
+
 import pytest
 
 from petripoly import Event, PetriNet

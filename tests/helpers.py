@@ -285,6 +285,23 @@ def sparse_net(rng, n, m):
     return PetriNet(conditions, [Event(f"e{k}", pre, post) for k, (pre, post) in enumerate(sides)])
 
 
+def twin_block_net(rng, max_conditions=7, max_events=6):
+    """A random net on 1-4 blocks of 1-3 conditions, at most max_conditions
+    in all.  Each event takes a block whole or not at all into its pre-set
+    and into its post-set, so a block's conditions are twins."""
+    blocks, n = [], 0
+    for size in [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]:
+        if n + size <= max_conditions:
+            blocks.append([f"t{k}" for k in range(n, n + size)])
+            n += size
+    events = []
+    for k in range(rng.randint(0, max_events)):
+        pre = [b for block in blocks if rng.random() < 0.35 for b in block]
+        post = [b for block in blocks if rng.random() < 0.35 for b in block]
+        events.append(Event(f"e{k}", pre, post))
+    return PetriNet([b for block in blocks for b in block], events)
+
+
 def random_labeling(rng, net, offset=0):
     """A random injective labeling with values from a smallish pool."""
     ids = sorted(net.conditions)

@@ -359,7 +359,7 @@ def test_determinism(relay_file, capsys):
 
 def test_console_script_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "petripoly.cli"],
+        [sys.executable, "-B", "-m", "petripoly.cli"],
         capture_output=True,
         text=True,
         input="",

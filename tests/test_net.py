@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -13,10 +15,14 @@ from petripoly import (
     PreconditionError,
     are_isomorphic,
     attach,
+    canonical_poly,
     check_labeling,
+    decompose_net,
+    encode,
     isolated_conditions,
     product,
     read_net,
+    roundtrip_check,
     to_dot,
     validate,
     write_net,
@@ -34,6 +40,7 @@ from helpers import (
     random_net,
     relabeled_copy,
     rename_conditions,
+    twin_block_net,
     union,
 )
 
@@ -93,6 +100,23 @@ def test_validate_dangling_reference():
     net = PetriNet(["a"], [Event("e", {"zz"}, set())])
     with pytest.raises(NetStructureError):
         validate(net)
+
+
+@pytest.mark.parametrize("call", [
+    canonical_poly,
+    lambda net: are_isomorphic(net, net),
+    lambda net: encode(net, {"a": 0}),
+    decompose_net,
+    lambda net: roundtrip_check(net, {"a": 0}),
+    lambda net: attach(PetriNet(["b"]), {"b": 0}, net, {"a": 1}),
+], ids=["canonical_poly", "are_isomorphic", "encode", "decompose_net", "roundtrip_check",
+        "attach"])
+def test_dangling_reference_is_named(call):
+    """The constructor lets a dangling reference through; the functions
+    that look conditions up name it."""
+    net = PetriNet(["a"], [Event("e", {"a", "zz"}, set())])
+    with pytest.raises(NetStructureError, match="unknown condition 'zz'"):
+        call(net)
 
 
 def test_validate_duplicate_event_id():
@@ -348,6 +372,68 @@ def test_cycle_against_two_half_cycles(n):
     assert are_isomorphic(cycle, union(*halves)) is None
     copy = relabeled_copy(random.Random(n), cycle)
     assert is_valid_witness(cycle, copy, *are_isomorphic(cycle, copy))
+
+
+def filled_and_drained(ids):
+    """Twins that one event fills and another drains."""
+    return PetriNet(ids, [Event("fill", set(), ids), Event("drain", ids, set())])
+
+
+@pytest.mark.parametrize("k", [8, 40])
+@pytest.mark.parametrize("n, twins", [(10, PetriNet), (8, filled_and_drained)],
+                         ids=["isolated", "filled"])
+def test_twin_classes_are_mapped_whole(n, twins, k):
+    """Cn plus k twins against 2xC(n/2) plus k twins.  The twins sort
+    first, so a search that tried every order of their class would take
+    k! branches before the cycles refute the pair."""
+    start = time.perf_counter()
+    net = union(cycle_net(n, "c"), twins([f"b{j}" for j in range(k)]))
+    halves = union(cycle_net(n // 2, "p"), cycle_net(n // 2, "q"),
+                   twins([f"t{j}" for j in range(k)]))
+    assert are_isomorphic(net, halves) is None
+    copy = relabeled_copy(random.Random(k), net)
+    assert is_valid_witness(net, copy, *are_isomorphic(net, copy))
+    assert time.perf_counter() - start < 2
+
+
+def twin_signatures(net):
+    """Each twin class's size and sorted (|pre|, |post|, events, in pre,
+    in post) over the (pre, post) groups it sits in, counted."""
+    groups = Counter((e.pre, e.post) for e in net.events)
+    classes = defaultdict(list)
+    for b in net.conditions:
+        classes[frozenset((g, b in g[0], b in g[1]) for g in groups if b in g[0] | g[1])].append(b)
+    return Counter((len(members), tuple(sorted((len(pre), len(post), groups[pre, post], p, q)
+                                               for (pre, post), p, q in key)))
+                   for key, members in classes.items())
+
+
+def doubled(net):
+    """Two disjoint copies of a net; the second one's ids are primed."""
+    return union(net, PetriNet([f"{b}'" for b in net.conditions],
+                               [Event(f"{e.id}'", {f"{b}'" for b in e.pre},
+                                      {f"{b}'" for b in e.post}) for e in net.events]))
+
+
+def test_isomorphism_of_twin_blocks_agrees_with_brute_force():
+    """Nets of at most 7 conditions whose events take blocks of conditions
+    whole.  Half of them are two copies of a smaller one, so that two
+    twin classes share a size and signature, and the search must choose
+    which to map onto, then pair their members by id."""
+    rng = random.Random(139)
+    ambiguous = 0
+    for _ in range(200):
+        n1 = doubled(twin_block_net(rng, 3, 3)) if rng.random() < 0.5 else twin_block_net(rng)
+        *events, last = n1.events or [Event("e")]
+        near = PetriNet(n1.conditions, [*events, Event(last.id, last.post, last.pre)])
+        n2 = relabeled_copy(rng, n1 if rng.random() < 0.6 else near)
+        witness = are_isomorphic(n1, n2)
+        assert (witness is not None) == iso_oracle(n1, n2)
+        if witness is not None:
+            assert is_valid_witness(n1, n2, *witness)
+            ambiguous += any(size >= 2 and count >= 2
+                             for (size, _), count in twin_signatures(n1).items())
+    assert ambiguous >= 10
 
 
 def test_large_relabeled_net_is_isomorphic():
