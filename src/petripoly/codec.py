@@ -14,7 +14,7 @@ the round trip is only faithful up to isolated conditions.
 from bisect import bisect_left
 from collections import Counter
 
-from .errors import NetStructureError, PreconditionError
+from .errors import PreconditionError
 from .net import (
     Event,
     Labeling,
@@ -40,8 +40,6 @@ class _Bits(dict):
     def __missing__(self, b):
         try:
             bit = 1 << self.labeling[b]
-        except KeyError:  # the labeling covers exactly the net's conditions
-            raise NetStructureError(f"net references unknown condition {b!r}") from None
         except (OverflowError, MemoryError):  # a shift count CPython cannot represent or allocate
             raise PreconditionError(f"label of condition {b!r} is too large to encode") from None
         self[b] = bit
@@ -87,7 +85,7 @@ def decode(poly: Polynomial):
     # the constant term (grade 0) gives one event fewer: its last unit is the idle event
     events = [Event(f"e{k}_({i},{grade - i})", side[i], side[grade - i])
               for grade, i, coeff in terms for k in range(1, coeff + (grade > 0))]
-    return PetriNet(labeling, events), labeling
+    return PetriNet._trusted(labeling, events), labeling
 
 
 def canonical_poly(net: PetriNet) -> Polynomial:

@@ -58,47 +58,47 @@ class Event:
 class PetriNet:
     """A finite net: condition ids and a sequence of events.
 
-    Construction is permissive — dangling references and duplicate event
-    ids are representable, so that :func:`validate` can report them.
-    A frozenset of conditions and a tuple of events are kept as given.
+    Every net is well formed: construction raises
+    :class:`NetStructureError` on the first duplicate event id, else on
+    the first event that references an unknown condition.  A frozenset of
+    conditions and a tuple of events are kept as given.
     """
 
     conditions: frozenset
     events: tuple
 
     def __init__(self, conditions=frozenset(), events=()):
-        object.__setattr__(self, "conditions", frozenset(conditions))
-        object.__setattr__(self, "events", tuple(events))
+        conditions, events = frozenset(conditions), tuple(events)
+        seen = set()
+        for event in events:
+            if event.id in seen:
+                raise NetStructureError(f"duplicate event id {event.id!r}")
+            seen.add(event.id)
+        for event in events:
+            if not (event.pre <= conditions and event.post <= conditions):
+                unknown = min((event.pre | event.post) - conditions)  # first in sorted order
+                raise NetStructureError(
+                    f"event {event.id!r} references unknown condition {unknown!r}"
+                )
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "events", events)
+
+    @classmethod
+    def _trusted(cls, conditions, events) -> "PetriNet":
+        """The net of ``conditions`` and ``events``, which must be well formed."""
+        net = object.__new__(cls)
+        object.__setattr__(net, "conditions", frozenset(conditions))
+        object.__setattr__(net, "events", tuple(events))
+        return net
 
 
 def validate(net: PetriNet) -> list[str]:
-    """Check structure; raise on hard errors, return a list of warnings.
-
-    Hard errors (:class:`NetStructureError`): duplicate event ids,
-    events referencing unknown conditions.  Warnings: isolated
-    conditions and events with empty pre-sets, both structurally legal.
-    """
-    _check_structure(net)
+    """Warnings about a net: isolated conditions and events with empty
+    pre-sets, both structurally legal.  The hard errors are raised when
+    the net is built."""
     warnings = [f"isolated condition {b}" for b in sorted(isolated_conditions(net))]
     warnings.extend(f"event {e.id} has empty pre" for e in net.events if not e.pre)
     return warnings
-
-
-def _check_structure(net: PetriNet) -> None:
-    """Raise :class:`NetStructureError` on the first duplicate event id,
-    else on the first event that references an unknown condition."""
-    seen = set()
-    for event in net.events:
-        if event.id in seen:
-            raise NetStructureError(f"duplicate event id {event.id!r}")
-        seen.add(event.id)
-    conditions = net.conditions
-    for event in net.events:
-        if not (event.pre <= conditions and event.post <= conditions):
-            unknown = min((event.pre | event.post) - conditions)  # first in sorted order
-            raise NetStructureError(
-                f"event {event.id!r} references unknown condition {unknown!r}"
-            )
 
 
 def isolated_conditions(net: PetriNet) -> frozenset:
@@ -149,9 +149,9 @@ def product(n1: PetriNet, n2: PetriNet) -> PetriNet:
     left, right = tagged(n1, "L") + [idle], [idle] + tagged(n2, "R")
     pairs = [(a, b) for a in left for b in right if a is not b]  # idle with idle stays implicit
     ids = _unique_ids([f"({a[0]},{b[0]})" for a, b in pairs])
-    return PetriNet([f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions],
-                    [Event(name, a[1] | b[1], a[2] | b[2])
-                     for name, (a, b) in zip(ids, pairs)])
+    conditions = [f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions]
+    return PetriNet._trusted(conditions, [Event(name, a[1] | b[1], a[2] | b[2])
+                                          for name, (a, b) in zip(ids, pairs)])
 
 
 def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
@@ -176,14 +176,12 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
         Event(name, event.pre, event.post)
         for name, event in zip(event_ids, n1.events)
     ]
-    try:
-        for name, event in zip(event_ids[len(n1.events):], n2.events):
-            events.append(Event(name, frozenset(by_label[l2[b]] for b in event.pre),
-                                frozenset(by_label[l2[b]] for b in event.post)))
-    except KeyError as exc:  # l2 covers exactly n2's conditions
-        raise NetStructureError(f"net references unknown condition {exc.args[0]!r}") from None
+    for name, event in zip(event_ids[len(n1.events):], n2.events):
+        events.append(Event(name, frozenset(by_label[l2[b]] for b in event.pre),
+                            frozenset(by_label[l2[b]] for b in event.post)))
     events.append(Event(event_ids[-1]))
-    return PetriNet(by_label.values(), events), {b: label for label, b in by_label.items()}
+    labeling = {b: label for label, b in by_label.items()}
+    return PetriNet._trusted(labeling, events), labeling
 
 
 def _twin_classes(net):
@@ -195,12 +193,9 @@ def _twin_classes(net):
     for event in net.events:
         groups[(event.pre, event.post)].append(event.id)
     entries = {b: [] for b in net.conditions}
-    try:
-        for g, (pre, post) in enumerate(groups):
-            for b in pre | post:
-                entries[b].append((g, b in pre, b in post))
-    except KeyError as exc:
-        raise NetStructureError(f"net references unknown condition {exc.args[0]!r}") from None
+    for g, (pre, post) in enumerate(groups):
+        for b in pre | post:
+            entries[b].append((g, b in pre, b in post))
     classes = defaultdict(list)
     for b in sorted(net.conditions):
         classes[tuple(entries[b])].append(b)
@@ -332,9 +327,9 @@ def read_net(text: str):
     """Parse the JSON net document; return (net, labeling or None).
 
     Labels are all-or-none across conditions and must be distinct
-    naturals.  Duplicate condition ids are rejected here, and the net
-    gets :func:`validate`'s hard checks, so every net this returns passes
-    it without hard errors; the warnings are left to :func:`validate`.
+    naturals.  Duplicate condition ids are rejected here, and duplicate
+    event ids and dangling references by the net's constructor; the
+    warnings are left to :func:`validate`.
     """
     try:
         doc = json.loads(text)
@@ -378,6 +373,4 @@ def read_net(text: str):
             raise NetStructureError("event id must be a string")
         events.append(Event(e, _refs(entry, e, "pre"), _refs(entry, e, "post")))
 
-    net = PetriNet(condition_ids, events)
-    _check_structure(net)
-    return net, (labels or None)
+    return PetriNet(condition_ids, events), (labels or None)

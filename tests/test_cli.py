@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import os
 import subprocess
@@ -325,6 +326,11 @@ def test_validate_verb(tmp_path, capsys):
     assert capsys.readouterr().out == "isolated condition c\n"
 
 
+def test_validate_without_warnings_prints_nothing(chain_file, capsys):
+    assert run(["validate", chain_file]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_validate_structural_error_exits_2(tmp_path, capsys):
     path = tmp_path / "net.json"
     path.write_text('{"conditions": [], "events": [{"id": "e", "pre": ["zz"], "post": []}]}')
@@ -340,6 +346,23 @@ def test_missing_file_exits_2(capsys):
 
 def test_unknown_verb_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+
+
+def test_version(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr() == ("petripoly 0.1.0\n", "")
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["mul", "-p", "x+1", "-p", "y+1"], ["decompose", "--nets", "-p", "x+1"]])
+def test_broken_stdout_exits_2_with_one_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_encode_decode_pipeline_reproduces_text(capsys):
@@ -412,6 +435,13 @@ VERB_MODULES = {
     "canon": (lambda r, c, f: [r], {"codec", "net", "polynomial"}),
     "decompose": (lambda r, c, f: ["--nets", r], {"codec", "factor", "net", "polynomial"}),
 }
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_each_verb_has_help(verb, capsys):
+    assert run([verb, "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: petripoly {verb} ") and err == ""
 
 
 def test_import_petripoly_loads_no_submodule_and_cli_only_errors():

@@ -6,6 +6,8 @@ from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petripoly import (
     Event,
@@ -15,14 +17,10 @@ from petripoly import (
     PreconditionError,
     are_isomorphic,
     attach,
-    canonical_poly,
     check_labeling,
-    decompose_net,
-    encode,
     isolated_conditions,
     product,
     read_net,
-    roundtrip_check,
     to_dot,
     validate,
     write_net,
@@ -63,6 +61,55 @@ def test_event_keeps_frozensets_and_coerces_other_iterables():
     assert moved == Event("e", pre, frozenset({"d"})) and moved.pre is pre
 
 
+def document(conditions, events):
+    """The net document of conditions and (id, pre, post) events, which
+    need not make a well-formed net."""
+    return json.dumps({"conditions": [{"id": b} for b in sorted(set(conditions))],
+                       "events": [{"id": e, "pre": sorted(pre), "post": sorted(post)}
+                                  for e, pre, post in events]})
+
+
+@pytest.mark.parametrize("events, message", [
+    ([("e", {"zz"}, set())], "event 'e' references unknown condition 'zz'"),
+    ([("e", {"a"}, set()), ("e", set(), {"a"})], "duplicate event id 'e'"),
+    # the first unknown condition in sorted order, of the first event that has one
+    ([("e", {"zz", "a"}, {"yy"}), ("f", {"xx"}, set())],
+     "event 'e' references unknown condition 'yy'"),
+    # both faults: the duplicate is reported
+    ([("e", {"zz"}, set()), ("f", set(), set()), ("f", set(), set())], "duplicate event id 'f'"),
+], ids=["dangling", "duplicate", "first-dangling", "both"])
+def test_net_rejects_malformed_structure(events, message):
+    """The constructor's message is read_net's for the same document."""
+    for build in (lambda: PetriNet(["a"], [Event(*e) for e in events]),
+                  lambda: read_net(document(["a"], events))):
+        with pytest.raises(NetStructureError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+_IDS = st.sampled_from(["a", "b", "c"])  # few ids, so that references dangle and ids repeat
+
+
+@settings(max_examples=300)
+@given(st.lists(_IDS, max_size=3),
+       st.lists(st.tuples(_IDS, st.frozensets(_IDS), st.frozensets(_IDS)), max_size=4),
+       st.randoms(use_true_random=False))
+def test_built_nets_are_well_formed(conditions, events, rng):
+    """A net either fails to build with read_net's message for the same
+    document, or writes, reads back, validates and matches a relabeled copy."""
+    try:
+        net = PetriNet(conditions, [Event(*event) for event in events])
+    except NetStructureError as exc:
+        with pytest.raises(NetStructureError) as caught:
+            read_net(document(conditions, events))
+        assert str(caught.value) == str(exc)
+        return
+    assert read_net(write_net(net)) == (net, None)
+    validate(net)
+    copy = relabeled_copy(rng, net)
+    assert is_valid_witness(net, copy, *are_isomorphic(net, copy))
+
+
 def test_net_keeps_frozenset_and_tuple_and_coerces_other_iterables():
     conditions, events = frozenset({"a", "b"}), (Event("e", {"a"}, {"b"}),)
     net = PetriNet(conditions, events)
@@ -94,35 +141,6 @@ def test_validate_isolated_condition_warning():
 def test_validate_empty_pre_warning():
     net = PetriNet(["a"], [Event("e", set(), {"a"})])
     assert validate(net) == ["event e has empty pre"]
-
-
-def test_validate_dangling_reference():
-    net = PetriNet(["a"], [Event("e", {"zz"}, set())])
-    with pytest.raises(NetStructureError):
-        validate(net)
-
-
-@pytest.mark.parametrize("call", [
-    canonical_poly,
-    lambda net: are_isomorphic(net, net),
-    lambda net: encode(net, {"a": 0}),
-    decompose_net,
-    lambda net: roundtrip_check(net, {"a": 0}),
-    lambda net: attach(PetriNet(["b"]), {"b": 0}, net, {"a": 1}),
-], ids=["canonical_poly", "are_isomorphic", "encode", "decompose_net", "roundtrip_check",
-        "attach"])
-def test_dangling_reference_is_named(call):
-    """The constructor lets a dangling reference through; the functions
-    that look conditions up name it."""
-    net = PetriNet(["a"], [Event("e", {"a", "zz"}, set())])
-    with pytest.raises(NetStructureError, match="unknown condition 'zz'"):
-        call(net)
-
-
-def test_validate_duplicate_event_id():
-    net = PetriNet(["a"], [Event("e", {"a"}, set()), Event("e", set(), {"a"})])
-    with pytest.raises(NetStructureError):
-        validate(net)
 
 
 def test_check_labeling_errors(relay_net):
@@ -196,24 +214,26 @@ def test_product_matches_oracle():
     def net():
         conditions = [f"b{k}" for k in range(rng.randint(0, 3))]  # same ids on both sides
         return PetriNet(conditions, [
-            Event(rng.choice(names), rng.sample(conditions, rng.randint(0, len(conditions))),
+            Event(name, rng.sample(conditions, rng.randint(0, len(conditions))),
                   rng.sample(conditions, rng.randint(0, len(conditions))))
-            for _ in range(rng.randint(0, 4))
+            for name in rng.sample(names, rng.randint(0, 4))
         ])
 
     pairs = [(net(), net()) for _ in range(400)]
     nets = [n for pair in pairs for n in pair]
     events = [e for n in nets for e in n.events]
     assert any(not n.events and not n.conditions for n in nets)
-    assert any(len({e.id for e in n.events}) < len(n.events) for n in nets)
     assert {"*", "(a,*)"} <= {e.id for e in events}
     assert any(not e.pre for e in events) and any(not e.post for e in events)
+    renamed = 0
     for n1, n2 in pairs:
         got, want = product(n1, n2), product_oracle(n1, n2)
         assert got.conditions == want.conditions
         assert [(e.id, e.pre, e.post) for e in got.events] == [
             (e.id, e.pre, e.post) for e in want.events
         ]
+        renamed += any(e.id.endswith("#2") for e in got.events)  # pair names end in ")"
+    assert renamed
 
 
 # ----------------------------------------------------------------- attach
@@ -274,9 +294,9 @@ def test_attach_matches_oracle():
     def labeled_net():
         conditions = rng.sample(ids, rng.randint(0, 3))
         return PetriNet(conditions, [
-            Event(rng.choice(ids), rng.sample(conditions, rng.randint(0, len(conditions))),
+            Event(name, rng.sample(conditions, rng.randint(0, len(conditions))),
                   rng.sample(conditions, rng.randint(0, len(conditions))))
-            for _ in range(rng.randint(0, 3))
+            for name in rng.sample(ids, rng.randint(0, 3))
         ]), dict(zip(conditions, rng.sample(range(4), len(conditions))))
 
     pairs = [(labeled_net(), labeled_net()) for _ in range(400)]
