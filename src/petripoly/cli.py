@@ -40,13 +40,18 @@ def _read_labeled_net(path):
     from .net import isolated_conditions
     n, labels = _read_net_file(path)
     if labels is None:
-        print("note: input carries no labels; assigning 0,1,... by sorted condition id",
-              file=sys.stderr)
+        print(
+            "note: input carries no labels; assigning 0,1,... by sorted condition id",
+            file=sys.stderr,
+        )
         labels = {b: t for t, b in enumerate(sorted(n.conditions))}
     dropped = sorted(isolated_conditions(n))
     if dropped:
-        print("warning: isolated conditions are invisible to the encoding: " + ", ".join(dropped),
-              file=sys.stderr)
+        print(
+            "warning: isolated conditions are invisible to the encoding: "
+            + ", ".join(dropped),
+            file=sys.stderr,
+        )
     return n, labels
 
 
@@ -70,7 +75,9 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     from .codec import decode
     from .net import write_net
-    return [write_net(*decode(*_poly_inputs(args, 1)))]
+    (poly,) = _poly_inputs(args, 1)
+    n, labels = decode(poly)
+    return [write_net(n, labels)]
 
 
 def _cmd_mul(args):
@@ -100,18 +107,21 @@ def _cmd_attach(args):
     n2, l2 = _read_net_file(args.right)
     if l1 is None or l2 is None:
         raise PreconditionError("attach requires labels in both input nets")
-    return [write_net(*attach(n1, l1, n2, l2))]
+    n, labels = attach(n1, l1, n2, l2)
+    return [write_net(n, labels)]
 
 
 def _cmd_decompose(args):
-    """Factor a polynomial, or a net via its encoding, into primes."""
     from .codec import decode, encode
     from .factor import decompose
     from .net import write_net
     from .polynomial import parse_poly, print_poly
     if (args.poly is None) == (args.net is None):
         raise _UsageError("give exactly one input: -p POLY or a net JSON file")
-    poly = encode(*_read_labeled_net(args.net)) if args.poly is None else parse_poly(args.poly)
+    if args.poly is not None:
+        poly = parse_poly(args.poly)
+    else:
+        poly = encode(*_read_labeled_net(args.net))
     factors = decompose(poly)
     lines = [print_poly(factor) for factor in factors]
     if args.nets:
@@ -132,17 +142,20 @@ def _cmd_iso(args):
 def _cmd_canon(args):
     from .codec import canonical_poly
     from .polynomial import print_poly
-    return [print_poly(canonical_poly(_read_net_file(args.net)[0]))]
+    n, _ = _read_net_file(args.net)
+    return [print_poly(canonical_poly(n))]
 
 
 def _cmd_dot(args):
     from .net import to_dot
-    return [to_dot(_read_net_file(args.net)[0])]
+    n, _ = _read_net_file(args.net)
+    return [to_dot(n)]
 
 
 def _cmd_validate(args):
     from .net import validate
-    return validate(_read_net_file(args.net)[0])
+    n, _ = _read_net_file(args.net)
+    return validate(n)
 
 
 def _arg(*flags, **options):
@@ -157,7 +170,7 @@ _POLYS = [
     _arg("files", nargs="*", metavar="FILE", help="file(s) holding polynomial text"),
 ]
 
-# verb -> (help, handler, add_argument calls); a handler's docstring is its verb's description
+# verb -> (help, handler, add_argument calls)
 _VERBS = {
     "encode": ("net JSON -> polynomial text", _cmd_encode, _NET),
     "decode": ("polynomial -> net JSON (with labels)", _cmd_decode, _POLYS),
@@ -177,6 +190,8 @@ _VERBS = {
     "validate": ("structural check; warnings on stdout", _cmd_validate, _NET),
 }
 
+_DESCRIPTIONS = {"decompose": "Factor a polynomial, or a net via its encoding, into primes."}
+
 
 def build_parser():
     parser = _Parser(
@@ -187,7 +202,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
     for verb, (summary, handler, arguments) in _VERBS.items():
-        p = sub.add_parser(verb, help=summary, description=handler.__doc__)
+        p = sub.add_parser(verb, help=summary, description=_DESCRIPTIONS.get(verb))
         for flags, options in arguments:
             p.add_argument(*flags, **options)
         p.set_defaults(handler=handler)

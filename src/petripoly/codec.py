@@ -85,7 +85,7 @@ def decode(poly: Polynomial):
     # the constant term (grade 0) gives one event fewer: its last unit is the idle event
     events = [Event(f"e{k}_({i},{grade - i})", side[i], side[grade - i])
               for grade, i, coeff in terms for k in range(1, coeff + (grade > 0))]
-    return PetriNet._trusted(labeling, events), labeling
+    return PetriNet(labeling, events), labeling
 
 
 def canonical_poly(net: PetriNet) -> Polynomial:

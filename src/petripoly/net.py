@@ -83,14 +83,6 @@ class PetriNet:
         object.__setattr__(self, "conditions", conditions)
         object.__setattr__(self, "events", events)
 
-    @classmethod
-    def _trusted(cls, conditions, events) -> "PetriNet":
-        """The net of ``conditions`` and ``events``, which must be well formed."""
-        net = object.__new__(cls)
-        object.__setattr__(net, "conditions", frozenset(conditions))
-        object.__setattr__(net, "events", tuple(events))
-        return net
-
 
 def validate(net: PetriNet) -> list[str]:
     """Warnings about a net: isolated conditions and events with empty
@@ -149,9 +141,9 @@ def product(n1: PetriNet, n2: PetriNet) -> PetriNet:
     left, right = tagged(n1, "L") + [idle], [idle] + tagged(n2, "R")
     pairs = [(a, b) for a in left for b in right if a is not b]  # idle with idle stays implicit
     ids = _unique_ids([f"({a[0]},{b[0]})" for a, b in pairs])
-    conditions = [f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions]
-    return PetriNet._trusted(conditions, [Event(name, a[1] | b[1], a[2] | b[2])
-                                          for name, (a, b) in zip(ids, pairs)])
+    return PetriNet([f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions],
+                    [Event(name, a[1] | b[1], a[2] | b[2])
+                     for name, (a, b) in zip(ids, pairs)])
 
 
 def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
@@ -180,8 +172,7 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
         events.append(Event(name, frozenset(by_label[l2[b]] for b in event.pre),
                             frozenset(by_label[l2[b]] for b in event.post)))
     events.append(Event(event_ids[-1]))
-    labeling = {b: label for label, b in by_label.items()}
-    return PetriNet._trusted(labeling, events), labeling
+    return PetriNet(by_label.values(), events), {b: label for label, b in by_label.items()}
 
 
 def _twin_classes(net):
