@@ -3,21 +3,28 @@
 Write F|_M for the terms of F whose exponents use only bits of the mask
 M.  A nonzero polynomial F with coprime coefficients and constant term
 c >= 1 splits as P * Q with disjoint binary supports exactly when
-c*F == F|_B * F|_R for some bipartition (B, R) of its support.
+c*F == F|_B * F|_R for some bipartition (B, R) of its support.  The
+product is carry-free: each of its monomials comes from exactly one pair
+of terms, recovered by masking with B and R.  So c*F == F|_B * F|_R
+exactly when |F| == |F|_B| * |F|_R| and every term (i, j, a) of F has
+c*a == F|_B(i&B, j&B) * F|_R(i&R, j&R), a test of one pass over F.
 split_once grows B from the lowest support bit.  While B falls short of
 the support of the prime factor G that holds it, with H the cofactor of
 G, c*F - F|_B * F|_R equals H(0) * H * E, where E is nonzero, lives on
-G's bits and has no monomial inside B.  The product is carry-free, so
-nothing cancels, and the differing monomials with the fewest bits are
-those of E: each lies within G's bits and adds at least one bit to B.  Constant factors
+G's bits and has no monomial inside B.  Nothing cancels, and the
+differing monomials with the fewest bits are those of E: each lies
+within G's bits and adds at least one bit to B.  Bit counts add across
+disjoint supports, so the product's monomials of k bits come from pairs
+of fewer bits, and the product is built one bit count at a time, only up
+to the first count at which it and c*F differ.  Constant factors
 escape that picture (their support is empty), so integer prime content
 is pulled out separately.  Recursion over the two parts yields prime
 factors; at the net level this realizes the decomposition of a net into
 prime components of the synchronization product.
 """
 
-from itertools import count
-from math import gcd
+from itertools import count, islice
+from math import gcd, inf
 
 from .codec import decode, encode
 from .errors import PreconditionError
@@ -112,12 +119,6 @@ def _prime_factors(n):
     return factors
 
 
-def _restrict(poly, mask):
-    """F|_mask: the terms of ``poly`` whose exponents use only bits of ``mask``."""
-    return Polynomial._trusted({(i, j): a for (i, j), a in poly.terms.items()
-                                if not (i | j) & ~mask})
-
-
 def _check_splittable(poly):
     if not poly or poly.constant_term < 1:
         raise PreconditionError("need a nonzero polynomial with positive constant term")
@@ -128,11 +129,18 @@ def split_once(poly: Polynomial) -> tuple | None:
 
     First pulls out the smallest prime dividing all coefficients.  Then,
     with c the constant term, grows a block B from the lowest support
-    bit until c*F == F|_B * F|_R, R being the rest of the support: each
-    failed check ORs into B the bits of the differing monomials with the
-    fewest bits, so there are at most as many checks as support bits.
-    Any returned pair multiplies back exactly, has disjoint supports,
-    and has positive constant terms on both sides.
+    bit until c*F == F|_B * F|_R, R being the rest of the support.  A
+    check is one pass over F's terms by rising bit count: it holds when
+    every term (i, j, a) has c*a == F|_B(i&B, j&B) * F|_R(i&R, j&R) and
+    |F| == |F|_B| * |F|_R|.  A failed check ORs into B the bits of the
+    differing monomials with the fewest bits.  Its pass stops after the
+    first bit count at which a term of F breaks the equation; then the
+    products of non-constant terms of F|_B and F|_R that F lacks are
+    enumerated by rising bit count up to that count, so the product is
+    never built whole.  There are at most as many checks as support
+    bits.  Any returned pair multiplies
+    back exactly, has disjoint supports, and has positive constant terms
+    on both sides.
     """
     _check_splittable(poly)
     content = gcd(*poly.terms.values())
@@ -141,24 +149,46 @@ def split_once(poly: Polynomial) -> tuple | None:
         quotient = Polynomial._trusted({key: a // p for key, a in poly.terms.items()})
         if quotient != ONE:  # dividing a prime constant by itself leaves the unit
             return Polynomial.constant(p), quotient
-    c = poly.constant_term
-    scaled = poly * Polynomial.constant(c)
+    c, terms = poly.constant_term, poly.terms
+    ranked = sorted(((i | j).bit_count(), i, j, a) for (i, j), a in terms.items())
     full = nat_of_bits(poly.support())
     block = full & -full
     while block != full:
-        inside, outside = _restrict(poly, block), _restrict(poly, full & ~block)
-        product = inside * outside
-        if product == scaled:
+        rest = full & ~block
+        # F|_B and F|_R by rising bit count, the constant first; a term on
+        # both sides has its two halves at lower counts, so they are in place
+        inside, outside, fewest, differing = {}, {(0, 0): c}, inf, []
+        for k, i, j, a in ranked:
+            if k > fewest:
+                break
+            if not (i | j) & rest:
+                inside[i, j] = a
+            elif not (i | j) & block:
+                outside[i, j] = a
+            elif c * a != inside.get((i & block, j & block), 0) * outside.get((i & rest, j & rest), 0):
+                fewest = k
+                differing.append(i | j)
+        if not differing and len(terms) == len(inside) * len(outside):
             # poly is primitive here, so c == gcd(inside) * gcd(outside)
             # and both divisions are exact
-            g = gcd(*inside.terms.values())
-            return (Polynomial._trusted({key: a // g for key, a in inside.terms.items()}),
-                    Polynomial._trusted({key: a * g // c for key, a in outside.terms.items()}))
-        differing = [i | j for (i, j), _ in scaled.terms.items() ^ product.terms.items()]
-        fewest = min(m.bit_count() for m in differing)
+            g = gcd(*inside.values())
+            return (Polynomial._trusted({key: a // g for key, a in inside.items()}),
+                    Polynomial._trusted({key: a * g // c for key, a in outside.items()}))
+        # products of non-constant halves that F lacks, up to the level found
+        for ip, jp in islice(inside, 1, None):
+            kp = (ip | jp).bit_count()
+            if kp >= fewest:
+                break
+            for iq, jq in islice(outside, 1, None):
+                k = kp + (iq | jq).bit_count()
+                if k > fewest:
+                    break
+                if (ip + iq, jp + jq) not in terms:
+                    if k < fewest:
+                        fewest, differing = k, []
+                    differing.append(ip | jp | iq | jq)
         for m in differing:
-            if m.bit_count() == fewest:
-                block |= m
+            block |= m
     return None
 
 

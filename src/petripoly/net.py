@@ -151,8 +151,10 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
 
     Conditions are the disjoint union quotiented by equal labels (a
     merged class keeps the first net's id); events are those of both
-    nets plus one fresh event with empty pre and post.  Returns the
-    resulting net together with its inherited labeling.
+    nets plus one fresh event with empty pre and post.  The first net's
+    events are kept as they are; the second's move onto the merged
+    conditions and take a '#k' suffix where their id is taken.  Returns
+    the resulting net together with its inherited labeling.
     """
     check_labeling(n1, l1)
     check_labeling(n2, l2)
@@ -163,11 +165,9 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
     by_label.update(zip(map(l2.__getitem__, fresh),
                         _unique_ids(sorted(n1.conditions) + fresh)[len(n1.conditions):]))
 
+    # the first net's ids are distinct, so only the second's and star's are renamed
     event_ids = _unique_ids([e.id for e in n1.events] + [e.id for e in n2.events] + ["star"])
-    events = [
-        Event(name, event.pre, event.post)
-        for name, event in zip(event_ids, n1.events)
-    ]
+    events = list(n1.events)
     for name, event in zip(event_ids[len(n1.events):], n2.events):
         events.append(Event(name, frozenset(by_label[l2[b]] for b in event.pre),
                             frozenset(by_label[l2[b]] for b in event.post)))

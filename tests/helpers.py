@@ -6,10 +6,11 @@ search over all condition bijections, the canonical polynomial as the
 least encoding over all labelings, the product net by a nested loop over
 event pairs, the attached net by one condition map per side,
 decomposability by a sweep over every support bipartition that looks for
-a complete rank-1 grid of coefficients, polynomial text by one regular
-expression per whole term rather than by splitting on separators, and a
-net's JSON text as the document of dicts and lists that ``json.loads``
-must give back.
+a complete rank-1 grid of coefficients, one factorization step by
+multiplying out the whole product at every block check, polynomial text
+by one regular expression per whole term rather than by splitting on
+separators, and a net's JSON text as the document of dicts and lists
+that ``json.loads`` must give back.
 """
 
 import re
@@ -221,6 +222,37 @@ def splits_oracle(poly):
             if len(cells) == len(left) * len(right) and rank1_oracle(cells):
                 return True
     return False
+
+
+def split_once_oracle(poly):
+    """split_once by building the whole product F|B * F|R at every check
+    and comparing it with c*F term by term; the block grows by the same
+    rule.  Content primes come from trial division."""
+    content = gcd(*poly.terms.values())
+    if content > 1:
+        p = factor_oracle(content)[0]
+        quotient = Polynomial({key: a // p for key, a in poly.terms.items()})
+        if quotient != ONE:
+            return Polynomial.constant(p), quotient
+    c = poly.constant_term
+    scaled = poly * Polynomial.constant(c)
+    full = nat_of_bits(poly.support())
+    block = full & -full
+    while block != full:
+        inside, outside = (Polynomial({(i, j): a for (i, j), a in poly.terms.items()
+                                       if not (i | j) & ~mask})
+                           for mask in (block, full & ~block))
+        product = inside * outside
+        if product == scaled:
+            g = gcd(*inside.terms.values())
+            return (Polynomial({key: a // g for key, a in inside.terms.items()}),
+                    Polynomial({key: a * g // c for key, a in outside.terms.items()}))
+        differing = [i | j for (i, j), _ in scaled.terms.items() ^ product.terms.items()]
+        fewest = min(m.bit_count() for m in differing)
+        for m in differing:
+            if m.bit_count() == fewest:
+                block |= m
+    return None
 
 
 def is_valid_witness(n1, n2, beta, eta):

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -28,6 +29,7 @@ from helpers import (
     random_net,
     random_poly_terms,
     random_product,
+    split_once_oracle,
     splits_oracle,
 )
 
@@ -75,6 +77,29 @@ def test_split_verdict_matches_oracle():
     polys += [random_product(rng) for _ in range(60)]
     for poly in polys:
         assert (split_once(poly) is not None) == splits_oracle(poly)
+
+
+def test_split_matches_full_product_oracle():
+    rng = random.Random(14)
+    polys = [Polynomial(random_poly_terms(rng, max_support=support))
+             for support in range(2, 7) for _ in range(300)]
+    polys += [random_product(rng) for _ in range(600)]
+    composite = 0
+    for poly in polys:
+        split = split_once(poly)
+        assert split == split_once_oracle(poly)
+        composite += split is not None
+    assert composite > 900
+
+
+def test_split_equal_term_counts_but_a_coefficient_differs():
+    # at B = {bit 0}: |F| = |1 + x| * |1 + y^2|, but x*y^2 has coefficient 2, not 1
+    assert split_once(parse_poly("1 + x + y^2 + 2*x*y^2")) is None
+
+
+def test_split_scales_the_halves_by_the_constant():
+    assert split_once(parse_poly("2 + x") * parse_poly("3 + y^2")) == (
+        parse_poly("2 + x"), parse_poly("3 + y^2"))
 
 
 def test_split_soundness_random():
@@ -181,6 +206,14 @@ def test_decompose_product_of_many_primes():
     for prime in primes:
         whole = whole * prime
     assert decompose(whole) == sorted(primes)
+
+
+def test_decompose_256_bit_prime_chain_in_under_a_second():
+    # one event per adjacent pair of labels: x^(2^t) * y^(2^(t+1)), t = 0..254
+    chain = Polynomial({(1 << t, 2 << t): 1 for t in range(255)} | {(0, 0): 1})
+    start = time.perf_counter()
+    assert decompose(chain) == [chain]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decompose_sorted_by_term_order():
