@@ -157,7 +157,7 @@ def split_once(poly: Polynomial) -> tuple | None:
         rest = full & ~block
         # F|_B and F|_R by rising bit count, the constant first; a term on
         # both sides has its two halves at lower counts, so they are in place
-        inside, outside, fewest, differing = {}, {(0, 0): c}, inf, []
+        inside, outside, fewest, grow = {}, {(0, 0): c}, inf, 0
         for k, i, j, a in ranked:
             if k > fewest:
                 break
@@ -167,8 +167,8 @@ def split_once(poly: Polynomial) -> tuple | None:
                 outside[i, j] = a
             elif c * a != inside.get((i & block, j & block), 0) * outside.get((i & rest, j & rest), 0):
                 fewest = k
-                differing.append(i | j)
-        if not differing and len(terms) == len(inside) * len(outside):
+                grow |= i | j
+        if not grow and len(terms) == len(inside) * len(outside):
             # poly is primitive here, so c == gcd(inside) * gcd(outside)
             # and both divisions are exact
             g = gcd(*inside.values())
@@ -185,10 +185,9 @@ def split_once(poly: Polynomial) -> tuple | None:
                     break
                 if (ip + iq, jp + jq) not in terms:
                     if k < fewest:
-                        fewest, differing = k, []
-                    differing.append(ip | jp | iq | jq)
-        for m in differing:
-            block |= m
+                        fewest, grow = k, 0
+                    grow |= ip | jp | iq | jq
+        block |= grow
     return None
 
 
