@@ -129,18 +129,15 @@ def split_once(poly: Polynomial) -> tuple | None:
 
     First pulls out the smallest prime dividing all coefficients.  Then,
     with c the constant term, grows a block B from the lowest support
-    bit until c*F == F|_B * F|_R, R being the rest of the support.  A
-    check is one pass over F's terms by rising bit count: it holds when
-    every term (i, j, a) has c*a == F|_B(i&B, j&B) * F|_R(i&R, j&R) and
-    |F| == |F|_B| * |F|_R|.  A failed check ORs into B the bits of the
-    differing monomials with the fewest bits.  Its pass stops after the
-    first bit count at which a term of F breaks the equation; then the
-    products of non-constant terms of F|_B and F|_R that F lacks are
-    enumerated by rising bit count up to that count, so the product is
-    never built whole.  There are at most as many checks as support
-    bits.  Any returned pair multiplies
-    back exactly, has disjoint supports, and has positive constant terms
-    on both sides.
+    bit until c*F == F|_B * F|_R, R being the rest of the support.  Each
+    check is one pass over F's terms by rising bit count, which tests
+    every term against its two halves and stops after the first count
+    with a mismatch; products of the halves that F lacks are enumerated
+    only up to that count.  A failed check ORs into B the bits of the
+    differing monomials with the fewest bits, so there are at most as
+    many checks as support bits.  Any returned pair multiplies back
+    exactly, has disjoint supports, and has positive constant terms on
+    both sides.
     """
     _check_splittable(poly)
     content = gcd(*poly.terms.values())
@@ -174,7 +171,8 @@ def split_once(poly: Polynomial) -> tuple | None:
             g = gcd(*inside.values())
             return (Polynomial._trusted({key: a // g for key, a in inside.items()}),
                     Polynomial._trusted({key: a * g // c for key, a in outside.items()}))
-        # products of non-constant halves that F lacks, up to the level found
+        # products of non-constant halves that F lacks, at no more bits than
+        # the mismatch found; each half adds at least one bit
         for ip, jp in islice(inside, 1, None):
             kp = (ip | jp).bit_count()
             if kp >= fewest:
