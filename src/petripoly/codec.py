@@ -29,28 +29,36 @@ from .polynomial import Polynomial
 __all__ = ["encode", "decode", "canonical_poly", "roundtrip_check"]
 
 
-class _Bits(dict):
-    """Condition -> 2^label, made on first lookup: an unused condition's
-    label is never expanded, however large it is."""
+class _Table(dict):
+    """key -> value(key), computed on the key's first lookup only."""
 
-    def __init__(self, labeling):
+    def __init__(self, value):
         super().__init__()
-        self.labeling = labeling
+        self.value = value
 
-    def __missing__(self, b):
-        try:
-            bit = 1 << self.labeling[b]
-        except (OverflowError, MemoryError):  # a shift count CPython cannot represent or allocate
-            raise PreconditionError(f"label of condition {b!r} is too large to encode") from None
-        self[b] = bit
-        return bit
+    def __missing__(self, key):
+        self[key] = found = self.value(key)
+        return found
 
 
 def encode(net: PetriNet, labeling: Labeling) -> Polynomial:
-    """Polynomial of a labeled net: 1 + sum over events of x^i(e) y^j(e)."""
+    """Polynomial of a labeled net: 1 + sum over events of x^i(e) y^j(e).
+
+    A condition's 2^label is made on its first use, so an unused
+    condition's label is never expanded, however large it is; each
+    distinct pre- or post-set is summed once."""
     check_labeling(net, labeling)
-    bit = _Bits(labeling).__getitem__
-    terms = Counter((sum(map(bit, e.pre)), sum(map(bit, e.post))) for e in net.events)
+
+    def bit(b):
+        try:
+            return 1 << labeling[b]
+        except (OverflowError, MemoryError):  # a shift count CPython cannot represent or allocate
+            raise PreconditionError(f"label of condition {b!r} is too large to encode") from None
+
+    bits = _Table(bit).__getitem__
+    weight = _Table(lambda side: sum(map(bits, side))).__getitem__
+    terms = Counter(zip(map(weight, [e.pre for e in net.events]),
+                        map(weight, [e.post for e in net.events])))
     terms[(0, 0)] += 1
     return Polynomial._trusted(dict(terms))
 

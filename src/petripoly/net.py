@@ -69,17 +69,23 @@ class PetriNet:
 
     def __init__(self, conditions=frozenset(), events=()):
         conditions, events = frozenset(conditions), tuple(events)
-        seen = set()
-        for event in events:
-            if event.id in seen:
-                raise NetStructureError(f"duplicate event id {event.id!r}")
-            seen.add(event.id)
-        for event in events:
-            if not (event.pre <= conditions and event.post <= conditions):
-                unknown = min((event.pre | event.post) - conditions)  # first in sorted order
-                raise NetStructureError(
-                    f"event {event.id!r} references unknown condition {unknown!r}"
-                )
+        # one test per rule over the ids and the distinct sides; the loops
+        # run only when a test fails, to name the first fault in event order
+        if len({event.id for event in events}) < len(events):
+            seen = set()
+            for event in events:
+                if event.id in seen:
+                    raise NetStructureError(f"duplicate event id {event.id!r}")
+                seen.add(event.id)
+        sides = dict.fromkeys([event.pre for event in events])  # first-use order walks faster than hash order
+        sides.update(dict.fromkeys([event.post for event in events]))
+        if not all(side <= conditions for side in sides):
+            for event in events:
+                if not (event.pre <= conditions and event.post <= conditions):
+                    unknown = min((event.pre | event.post) - conditions)  # first in sorted order
+                    raise NetStructureError(
+                        f"event {event.id!r} references unknown condition {unknown!r}"
+                    )
         object.__setattr__(self, "conditions", conditions)
         object.__setattr__(self, "events", events)
 
@@ -131,19 +137,37 @@ def product(n1: PetriNet, n2: PetriNet) -> PetriNet:
     Conditions are the tagged disjoint union ("L:"/"R:" prefixes).
     Events are all pairs (e1, e2) with either side allowed to idle ("*"),
     except the fully idle pair, which remains the implicit idle event
-    of the result; so |events| = |E1|*|E2| + |E1| + |E2|.  Each event's
-    tagged sets are built once, and a pair's sets are their unions.
+    of the result; so |events| = |E1|*|E2| + |E1| + |E2|.  Each distinct
+    pre-set and post-set of an input is tagged once, and each pair of
+    them is joined once, in one table per side that the events share.
     """
-    def tagged(net, tag):
-        return [(e.id, frozenset(f"{tag}:{b}" for b in e.pre),
-                 frozenset(f"{tag}:{b}" for b in e.post)) for e in net.events]
-    idle = ("*", frozenset(), frozenset())
-    left, right = tagged(n1, "L") + [idle], [idle] + tagged(n2, "R")
-    pairs = [(a, b) for a in left for b in right if a is not b]  # idle with idle stays implicit
-    ids = _unique_ids([f"({a[0]},{b[0]})" for a, b in pairs])
-    return PetriNet([f"L:{b}" for b in n1.conditions] + [f"R:{b}" for b in n2.conditions],
-                    [Event(name, a[1] | b[1], a[2] | b[2])
-                     for name, (a, b) in zip(ids, pairs)])
+    def numbered(events, names):
+        """Per event (id, pre number, post number), and the distinct pre-sets
+        and post-sets, each tagged once through ``names``, in number order."""
+        pres, posts = {}, {}
+        rows = [(e.id, pres.setdefault(e.pre, len(pres)), posts.setdefault(e.post, len(posts)))
+                for e in events]
+        tag = names.__getitem__
+        return rows, [frozenset(map(tag, s)) for s in pres], [frozenset(map(tag, s)) for s in posts]
+
+    def joined(left, right):
+        """The union of each left set with each right set, by numbers; a row
+        whose left set is empty is the right sets themselves."""
+        return [[a | b for b in right] if a else right for a in left]
+
+    names1, names2 = {b: f"L:{b}" for b in n1.conditions}, {b: f"R:{b}" for b in n2.conditions}
+    idle = Event("*")
+    left, pre1, post1 = numbered(n1.events + (idle,), names1)
+    right, pre2, post2 = numbered((idle,) + n2.events, names2)
+    pre, post = joined(pre1, pre2), joined(post1, post2)
+    # one cell per pair of events, left event major
+    ids = [f"({a},{b})" for a, _, _ in left for b, _, _ in right]
+    pres = [row[p] for _, i, _ in left for row in [pre[i]] for _, p, _ in right]
+    posts = [row[q] for _, _, j in left for row in [post[j]] for _, _, q in right]
+    for cells in ids, pres, posts:
+        del cells[-len(right)]  # idle with idle stays the implicit idle event
+    return PetriNet([*names1.values(), *names2.values()],
+                    list(map(Event, _unique_ids(ids), pres, posts)))
 
 
 def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
@@ -304,14 +328,21 @@ def write_net(net: PetriNet, labeling: Labeling | None = None) -> str:
             f'  "events": {_json_array(events)}\n}}')
 
 
-def _refs(entry, event_id, side):
-    """One side of an event object: its array of condition ids as a frozenset."""
+def _refs(entry, event_id, side, condition_ids):
+    """One side of an event object: its array of condition ids as a frozenset.
+    A side within ``condition_ids`` holds only strings, so its entries are
+    walked only when it is not; a dangling id is left to the constructor."""
     refs = entry.get(side)
     if not isinstance(refs, list):
         raise NetStructureError(f"event {event_id!r} needs a {side!r} array")
-    if not all(isinstance(b, str) for b in refs):
-        raise NetStructureError(f"event {event_id!r}: {side} entries must be strings")
-    return frozenset(refs)
+    try:
+        found = frozenset(refs)
+    except TypeError:  # an unhashable entry, which is no string
+        found = None
+    if found is None or not found <= condition_ids:
+        if not all(isinstance(b, str) for b in refs):
+            raise NetStructureError(f"event {event_id!r}: {side} entries must be strings")
+    return found
 
 
 def read_net(text: str):
@@ -362,6 +393,7 @@ def read_net(text: str):
         e = entry.get("id")
         if not isinstance(e, str):
             raise NetStructureError("event id must be a string")
-        events.append(Event(e, _refs(entry, e, "pre"), _refs(entry, e, "post")))
+        events.append(Event(e, _refs(entry, e, "pre", condition_ids),
+                            _refs(entry, e, "post", condition_ids)))
 
     return PetriNet(condition_ids, events), (labels or None)

@@ -9,8 +9,9 @@ decomposability by a sweep over every support bipartition that looks for
 a complete rank-1 grid of coefficients, one factorization step by
 multiplying out the whole product at every block check, polynomial text
 by one regular expression per whole term rather than by splitting on
-separators, and a net's JSON text as the document of dicts and lists
-that ``json.loads`` must give back.
+separators, a net's JSON text as the document of dicts and lists
+that ``json.loads`` must give back, and the encoding by one sum per
+event over its own conditions.
 """
 
 import re
@@ -26,6 +27,7 @@ from petripoly import (
     are_isomorphic,
     encode,
     nat_of_bits,
+    product,
 )
 
 
@@ -116,6 +118,15 @@ def product_oracle(n1, n2):
                 post |= {f"R:{b}" for b in e2.post}
             events.append(Event(name, pre, post))
     return PetriNet(conditions, events)
+
+
+def encode_oracle(net, labeling):
+    """encode by a sum of 2^label over each event's own pre- and post-set,
+    with no table shared between events: a term's dict of (i, j) -> count."""
+    terms = Counter((sum(1 << labeling[b] for b in e.pre), sum(1 << labeling[b] for b in e.post))
+                    for e in net.events)
+    terms[(0, 0)] += 1
+    return dict(terms)
 
 
 def attach_oracle(n1, l1, n2, l2):
@@ -302,6 +313,15 @@ def random_net(rng, max_conditions=5, max_events=6, keep_isolated=False):
     for event in events:
         used |= event.pre | event.post
     return PetriNet(used, events)
+
+
+def folded_product(rng, k):
+    """The product of k random nets on at most 2 conditions and 4 events,
+    folded from the left, so that many events share their sets."""
+    net = random_net(rng, max_conditions=2, max_events=4, keep_isolated=True)
+    for _ in range(k - 1):
+        net = product(net, random_net(rng, max_conditions=2, max_events=4, keep_isolated=True))
+    return net
 
 
 def sparse_net(rng, n, m):

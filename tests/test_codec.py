@@ -24,6 +24,8 @@ from petripoly import (
 from helpers import (
     canonical_oracle,
     cycle_net,
+    encode_oracle,
+    folded_product,
     random_labeling,
     random_net,
     random_poly_terms,
@@ -71,6 +73,30 @@ def test_encode_never_expands_an_isolated_condition_label():
         tracemalloc.stop()
     assert poly == parse_poly("x + 1")
     assert peak < 1 << 20  # 2^(8*10^7) alone would take 10 MiB
+
+
+def test_encode_matches_oracle():
+    """Folded products, whose events share their sets; decoded nets; and
+    random nets whose isolated conditions carry labels of 10^30, which
+    encode must never expand (2^(10^30) cannot be made)."""
+    rng = random.Random(43)
+    cases = []
+    for k in [2, 3, 4, 5] * 10:
+        net = folded_product(rng, k)
+        cases.append((net, random_labeling(rng, net)))
+    for _ in range(60):
+        cases.append(decode(Polynomial(random_poly_terms(rng, max_support=8, max_terms=8))))
+    huge = 0
+    for _ in range(60):
+        net = random_net(rng, max_conditions=6, max_events=4, keep_isolated=True)
+        labeling = random_labeling(rng, net)
+        for k, b in enumerate(sorted(isolated_conditions(net))):
+            labeling[b] = 10**30 + k
+            huge += 1
+        cases.append((net, labeling))
+    assert huge > 20
+    for net, labeling in cases:
+        assert encode(net, labeling).terms == encode_oracle(net, labeling)
 
 
 def test_encode_rejects_bad_labeling(relay_net):

@@ -30,6 +30,7 @@ from helpers import (
     attach_oracle,
     cycle_net,
     disjoint_labelings,
+    folded_product,
     is_valid_witness,
     iso_oracle,
     net_document,
@@ -69,6 +70,9 @@ def document(conditions, events):
                                   for e, pre, post in events]})
 
 
+_SHARED = frozenset({"zz", "a"})  # one dangling side object, shared by several events
+
+
 @pytest.mark.parametrize("events, message", [
     ([("e", {"zz"}, set())], "event 'e' references unknown condition 'zz'"),
     ([("e", {"a"}, set()), ("e", set(), {"a"})], "duplicate event id 'e'"),
@@ -77,7 +81,18 @@ def document(conditions, events):
      "event 'e' references unknown condition 'yy'"),
     # both faults: the duplicate is reported
     ([("e", {"zz"}, set()), ("f", set(), set()), ("f", set(), set())], "duplicate event id 'f'"),
-], ids=["dangling", "duplicate", "first-dangling", "both"])
+    # a shared dangling side: the first event in event order that uses it, as pre or post
+    ([("e", {"a"}, set()), ("f", _SHARED, set()), ("g", _SHARED, _SHARED)],
+     "event 'f' references unknown condition 'zz'"),
+    ([("e", {"a"}, {"a"}), ("f", {"a"}, _SHARED), ("g", _SHARED, set())],
+     "event 'f' references unknown condition 'zz'"),
+    ([("e", {"a"}, set()), ("f", {"xx"}, set()), ("g", _SHARED, set()), ("h", set(), _SHARED)],
+     "event 'f' references unknown condition 'xx'"),
+    # a duplicate after a shared dangling side: the duplicate is reported
+    ([("e", _SHARED, set()), ("f", set(), _SHARED), ("g", set(), set()), ("g", {"a"}, set())],
+     "duplicate event id 'g'"),
+], ids=["dangling", "duplicate", "first-dangling", "both", "shared-pre", "shared-post",
+        "shared-later", "shared-then-duplicate"])
 def test_net_rejects_malformed_structure(events, message):
     """The constructor's message is read_net's for the same document."""
     for build in (lambda: PetriNet(["a"], [Event(*e) for e in events]),
@@ -234,6 +249,18 @@ def test_product_matches_oracle():
         ]
         renamed += any(e.id.endswith("#2") for e in got.events)  # pair names end in ")"
     assert renamed
+
+
+def test_product_shares_one_set_per_distinct_side():
+    rng = random.Random(41)
+    shared = 0
+    for k in [2, 3, 4, 5] * 6:
+        p = folded_product(rng, k)
+        for side in "pre", "post":
+            sets = [getattr(e, side) for e in p.events]
+            assert len({id(s) for s in sets}) == len(set(sets))
+            shared += len(set(sets)) < len(sets)
+    assert shared > 30  # most products repeat their sets
 
 
 # ----------------------------------------------------------------- attach
@@ -630,6 +657,15 @@ _BAD_DOCUMENTS = [
      "event 'e' needs a 'post' array"),
     ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": ["b0"], "post": ["b0", 3]}]}',
      "event 'e': post entries must be strings"),
+    # each path of the side check: a non-string entry, an unhashable entry, a dangling id
+    ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": ["b0", true], "post": []}]}',
+     "event 'e': pre entries must be strings"),
+    ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": ["b0"], "post": [["b0"]]}]}',
+     "event 'e': post entries must be strings"),
+    ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": [{"id": "b0"}, "b0"], "post": []}]}',
+     "event 'e': pre entries must be strings"),
+    ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": ["b0"], "post": ["b0", "b1"]}]}',
+     "event 'e' references unknown condition 'b1'"),
     # two or more faults: the first one found is reported
     ('{"conditions": [{"id": "b0"}], "events": [{"id": "e", "pre": ["zz", "b0"], "post": ["yy"]},'
      ' {"id": "f", "pre": ["xx"], "post": []}]}',
