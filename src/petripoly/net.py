@@ -69,23 +69,18 @@ class PetriNet:
 
     def __init__(self, conditions=frozenset(), events=()):
         conditions, events = frozenset(conditions), tuple(events)
-        # one test per rule over the ids and the distinct sides; the loops
-        # run only when a test fails, to name the first fault in event order
-        if len({event.id for event in events}) < len(events):
+        if len({event.id for event in events}) < len(events):  # walk the ids to name the first
             seen = set()
             for event in events:
                 if event.id in seen:
                     raise NetStructureError(f"duplicate event id {event.id!r}")
                 seen.add(event.id)
-        sides = dict.fromkeys([event.pre for event in events])  # first-use order walks faster than hash order
-        sides.update(dict.fromkeys([event.post for event in events]))
-        if not all(side <= conditions for side in sides):
-            for event in events:
-                if not (event.pre <= conditions and event.post <= conditions):
-                    unknown = min((event.pre | event.post) - conditions)  # first in sorted order
-                    raise NetStructureError(
-                        f"event {event.id!r} references unknown condition {unknown!r}"
-                    )
+        for event in events:
+            if not (event.pre <= conditions and event.post <= conditions):
+                unknown = min((event.pre | event.post) - conditions)  # first in sorted order
+                raise NetStructureError(
+                    f"event {event.id!r} references unknown condition {unknown!r}"
+                )
         object.__setattr__(self, "conditions", conditions)
         object.__setattr__(self, "events", events)
 
