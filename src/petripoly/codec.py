@@ -19,6 +19,7 @@ from .net import (
     Event,
     Labeling,
     PetriNet,
+    _Table,
     _twin_classes,
     are_isomorphic,
     check_labeling,
@@ -27,18 +28,6 @@ from .net import (
 from .polynomial import Polynomial
 
 __all__ = ["encode", "decode", "canonical_poly", "roundtrip_check"]
-
-
-class _Table(dict):
-    """key -> value(key), computed on the key's first lookup only."""
-
-    def __init__(self, value):
-        super().__init__()
-        self.value = value
-
-    def __missing__(self, key):
-        self[key] = found = self.value(key)
-        return found
 
 
 def encode(net: PetriNet, labeling: Labeling) -> Polynomial:

@@ -112,6 +112,18 @@ def check_labeling(net: PetriNet, labeling: Labeling) -> None:
         raise PreconditionError("labeling must be injective")
 
 
+class _Table(dict):
+    """key -> value(key), computed on the key's first lookup only."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, key):
+        self[key] = found = self.value(key)
+        return found
+
+
 def _unique_ids(candidates):
     """Deterministically rename later duplicates with '#2', '#3', ... suffixes."""
     used = set()
@@ -145,24 +157,24 @@ def product(n1: PetriNet, n2: PetriNet) -> PetriNet:
         tag = names.__getitem__
         return rows, [frozenset(map(tag, s)) for s in pres], [frozenset(map(tag, s)) for s in posts]
 
-    def joined(left, right):
-        """The union of each left set with each right set, by numbers; a row
-        whose left set is empty is the right sets themselves."""
-        return [[a | b for b in right] if a else right for a in left]
+    def joined(a, right):
+        """The unions of the left set a with each right set; an empty a adds nothing."""
+        return [a | b for b in right] if a else right
 
     names1, names2 = {b: f"L:{b}" for b in n1.conditions}, {b: f"R:{b}" for b in n2.conditions}
     idle = Event("*")
     left, pre1, post1 = numbered(n1.events + (idle,), names1)
     right, pre2, post2 = numbered((idle,) + n2.events, names2)
-    pre, post = joined(pre1, pre2), joined(post1, post2)
-    # one cell per pair of events, left event major
-    ids = [f"({a},{b})" for a, _, _ in left for b, _, _ in right]
-    pres = [row[p] for _, i, _ in left for row in [pre[i]] for _, p, _ in right]
-    posts = [row[q] for _, _, j in left for row in [post[j]] for _, _, q in right]
-    for cells in ids, pres, posts:
-        del cells[-len(right)]  # idle with idle stays the implicit idle event
+    rights = [right] * len(n1.events) + [right[1:]]  # idle with idle stays the implicit idle event
+    ids = iter(_unique_ids([f"({a},{b})" for (a, _, _), others in zip(left, rights)
+                            for b, _, _ in others]))
+    # a row of unions per distinct left set, made just before its first events: made all
+    # at once, the rows cost the cyclic gc more than they saved where no set repeats
+    pre, post = _Table(lambda i: joined(pre1[i], pre2)), _Table(lambda j: joined(post1[j], post2))
     return PetriNet([*names1.values(), *names2.values()],
-                    list(map(Event, _unique_ids(ids), pres, posts)))
+                    [Event(next(ids), pre_row[p], post_row[q])
+                     for (_, i, j), others in zip(left, rights)
+                     for pre_row, post_row in [(pre[i], post[j])] for _, p, q in others])
 
 
 def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
