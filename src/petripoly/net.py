@@ -69,7 +69,7 @@ class PetriNet:
 
     def __init__(self, conditions=frozenset(), events=()):
         conditions, events = frozenset(conditions), tuple(events)
-        if len({event.id for event in events}) < len(events):  # walk the ids to name the first
+        if len({event.id for event in events}) < len(events):  # a duplicate: walk to name the first
             seen = set()
             for event in events:
                 if event.id in seen:
