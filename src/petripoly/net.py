@@ -228,13 +228,22 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     """Search for an isomorphism; return witness maps or ``None``.
 
     A witness is a pair (beta, eta): a condition bijection and an event
-    bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.
-    Backtracking maps twin classes, rarest signature first, onto unused
-    ones of equal signature (size and the sorted (|pre|, |post|, events, in
-    pre, in post) of its groups), members in id order; each distinct (pre,
-    post) pair of ``n1`` is checked once its conditions are mapped, by the
-    number of events its image carries in ``n2``.  Events pair up in group order.
+    bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.  The
+    nets' twin classes must agree in signature (size and the sorted (|pre|,
+    |post|, events, in pre, in post) of its groups), and then their connected
+    components in size (conditions linked through shared (pre, post) groups;
+    an isolated condition stands alone).  Backtracking maps ``n1``'s classes
+    in connected order, each next one sharing a group with one mapped before,
+    from a frontier heap by rarest signature, then first member id, each
+    component from its rarest class; a class goes onto an unused class of
+    equal signature, one that shares a group with its ordered neighbour's
+    image where the signature is shared, members paired in id order.  Each
+    distinct (pre, post) pair of ``n1`` is checked once its conditions are
+    mapped, by the number of events its image carries in ``n2``.  Events pair
+    up in group order.
     """
+    from heapq import heappop, heappush
+
     if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
         return None
     (groups1, classes1), (groups2, classes2) = _twin_classes(n1), _twin_classes(n2)
@@ -245,35 +254,73 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
                 for key, members in classes.items()]
 
     sig1, sig2 = signatures(groups1, classes1), signatures(groups2, classes2)
-    if Counter(sig1) != Counter(sig2):
+    count = Counter(sig1)
+    if count != Counter(sig2):
         return None
-    candidates = defaultdict(list)
-    for sig, members in zip(sig2, classes2.values()):
-        candidates[sig].append(members)
-    order = sorted(((members, candidates[sig]) for sig, members in zip(sig1, classes1.values())),
-                   key=lambda c: len(c[1]))
-    step = {b: k for k, (members, _) in enumerate(order) for b in members}
+
+    def connected(classes, sigs):
+        """Class indices in connected order, each with the step of an ordered
+        class it shares a group with (None where a component starts or the
+        signature is unique); the classes in each group; the sorted sizes of
+        the components."""
+        keys, members = list(classes), list(classes.values())
+        in_group = defaultdict(list)
+        for c, key in enumerate(keys):
+            for g, _, _ in key:
+                in_group[g].append(c)
+        rank = sorted(range(len(keys)), key=lambda c: (count[sigs[c]], members[c][0]))
+        at = {c: r for r, c in enumerate(rank)}
+        order, sizes, reached, pending = [], [], {}, dict(in_group)  # pending: groups not yet walked
+        for start in rank:
+            if start in reached:
+                continue
+            reached[start], frontier, size = None, [at[start]], 0
+            while frontier:
+                c = rank[heappop(frontier)]
+                size, k = size + len(members[c]), len(order)
+                for g, _, _ in keys[c]:
+                    for d in pending.pop(g, ()):
+                        if d not in reached:
+                            reached[d] = k
+                            heappush(frontier, at[d])
+                order.append((c, reached[c] if count[sigs[c]] > 1 else None))
+            sizes += [size] if keys[start] else [1] * size  # isolated conditions stand alone
+        return order, sorted(sizes), in_group
+
+    order, sizes1, _ = connected(classes1, sig1)
+    _, sizes2, in_group2 = connected(classes2, sig2)
+    if sizes1 != sizes2:
+        return None
+    members1, keys2, members2 = list(classes1.values()), list(classes2), list(classes2.values())
+    alike = defaultdict(list)  # signature -> n2's classes
+    for d, sig in enumerate(sig2):
+        alike[sig].append(d)
+    # (image d, class c of n1) -> n2's classes that share a group with d and have c's signature
+    near = _Table(lambda dc: sorted({e for g, _, _ in keys2[dc[0]] for e in in_group2[g]
+                                     if sig2[e] == sig1[dc[1]]}))
+    step = {b: k for k, (c, _) in enumerate(order) for b in members1[c]}
     due = defaultdict(list)  # k -> pairs of n1 whose last condition is in order[k]
     for pair in groups1:
         due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
-    beta, used = {}, set()  # used: first members of n2's mapped classes
+    beta, used, chosen = {}, set(), [None] * len(order)  # used, chosen: n2's mapped classes
 
-    def image(pair):
-        return tuple(frozenset(map(beta.__getitem__, side)) for side in pair)
+    def image(pair, get=beta.__getitem__):
+        return frozenset(map(get, pair[0])), frozenset(map(get, pair[1]))
 
     def extend(k):
         if any(len(groups2.get(image(p), ())) != len(groups1[p]) for p in due[k - 1]):
             return False
         if k == len(order):
             return True
-        members1, options = order[k]
-        for members2 in options:
-            if members2[0] not in used:
-                beta.update(zip(members1, members2))  # deeper classes are reassigned before use
-                used.add(members2[0])
+        c, parent = order[k]
+        for d in alike[sig1[c]] if parent is None else near[chosen[parent], c]:
+            if d not in used:
+                beta.update(zip(members1[c], members2[d]))  # deeper steps reassign before use
+                used.add(d)
+                chosen[k] = d
                 if extend(k + 1):
                     return True
-                used.discard(members2[0])
+                used.discard(d)
         return False
 
     if not extend(0):

@@ -406,6 +406,14 @@ def cycle_net(n, prefix):
                           for k in range(n)])
 
 
+def map_net(images, prefix="b"):
+    """The net of a map k -> images[k]: one event per condition, moving it to
+    its image, so each component is one cycle with trees hanging into it."""
+    ids = [f"{prefix}{k}" for k in range(len(images))]
+    return PetriNet(ids, [Event(f"{prefix}e{k}", {ids[k]}, {ids[t]})
+                          for k, t in enumerate(images)])
+
+
 def union(*nets):
     """Disjoint union of nets with distinct condition and event ids."""
     return PetriNet(

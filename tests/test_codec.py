@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -26,6 +27,7 @@ from helpers import (
     cycle_net,
     encode_oracle,
     folded_product,
+    is_valid_witness,
     random_labeling,
     random_net,
     random_poly_terms,
@@ -270,6 +272,18 @@ def test_canonical_poly_of_cycles_has_closed_form():
         assert canonical_poly(cycle_net(n, "c")) == cycle_closed_form(n)
     copy = relabeled_copy(random.Random(16), cycle_net(16, "c"))
     assert canonical_poly(copy) == cycle_closed_form(16)
+
+
+def test_decoded_canonical_cycle_is_isomorphic_to_the_cycle():
+    """The net decoded from C16's canonical polynomial, passed first.  Both
+    nets name their conditions c0 ... c15, and a search that mapped them in
+    string order (c0, c1, c10, ...) took 8 s to find the witness."""
+    cycle = cycle_net(16, "c")
+    decoded, _ = decode(canonical_poly(cycle))
+    start = time.perf_counter()
+    witness = are_isomorphic(decoded, cycle)
+    assert time.perf_counter() - start < 1
+    assert witness is not None and is_valid_witness(decoded, cycle, *witness)
 
 
 # -------------------------------------------------------------- round trip

@@ -33,6 +33,7 @@ from helpers import (
     folded_product,
     is_valid_witness,
     iso_oracle,
+    map_net,
     net_document,
     product_oracle,
     random_labeling,
@@ -403,22 +404,39 @@ def test_isomorphism_agrees_with_brute_force():
             pairs.append((n1, relabeled_copy(rng, n1)))
         else:
             pairs.append((n1, random_net(rng, max_conditions=6, max_events=7, keep_isolated=True)))
+    # maps of 5 conditions against relabeled copies with two images swapped:
+    # every in-degree stays, so the quick refutations often pass a wrong pair
+    rng = random.Random(109)
+    for _ in range(300):
+        images = [rng.randrange(5) for _ in range(5)]
+        x, y = rng.sample(range(5), 2)
+        swapped = images[:]
+        swapped[x], swapped[y] = images[y], images[x]
+        pairs.append((map_net(images), relabeled_copy(rng, map_net(swapped))))
+    searched = 0  # wrong pairs that only the search can refute
     for n1, n2 in pairs:
         witness = are_isomorphic(n1, n2)
         assert (witness is not None) == iso_oracle(n1, n2)
         if witness is not None:
             assert is_valid_witness(n1, n2, *witness)
+        searched += (witness is None and len(n1.events) == len(n2.events)
+                     and twin_signatures(n1) == twin_signatures(n2)
+                     and component_sizes(n1) == component_sizes(n2))
+    assert searched >= 20
 
 
-@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 40, 300])
 def test_cycle_against_two_half_cycles(n):
-    """Every condition has the same signature, so only the event pairs can
-    prune the n! condition maps."""
+    """Every condition has the same signature, so the component sizes refute
+    the pair, and on the copy each next condition has at most two candidates:
+    the unused neighbours of its mapped neighbour's image."""
+    start = time.perf_counter()
     cycle = cycle_net(n, "c")
     halves = [cycle_net(n // 2, prefix) for prefix in "ab"]
     assert are_isomorphic(cycle, union(*halves)) is None
     copy = relabeled_copy(random.Random(n), cycle)
     assert is_valid_witness(cycle, copy, *are_isomorphic(cycle, copy))
+    assert time.perf_counter() - start < 2
 
 
 def filled_and_drained(ids):
@@ -465,6 +483,17 @@ def twin_signatures(net):
     return Counter((len(members), tuple(sorted((len(pre), len(post), groups[pre, post], p, q)
                                                for (pre, post), p, q in key)))
                    for key, members in classes.items())
+
+
+def component_sizes(net):
+    """Sorted sizes of the parts into which the events' pre- and post-sets
+    join the conditions; an isolated condition is a part of its own."""
+    part = {b: {b} for b in net.conditions}
+    for event in net.events:
+        joined = set().union(*(part[b] for b in event.pre | event.post))
+        for b in joined:
+            part[b] = joined
+    return sorted(len(p) for p in {id(p): p for p in part.values()}.values())
 
 
 def doubled(net):
