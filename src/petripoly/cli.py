@@ -4,8 +4,7 @@ One verb per invocation.  A verb's handler imports what it calls and
 returns its lines for stdout, or None for "not isomorphic"; :func:`run`
 prints them, or a one-line diagnostic on stderr, and makes the exit code:
 0 success (and isomorphic), 1 not isomorphic, 2 usage or input-format
-errors, 3 precondition violations (including nets too large for the
-searches, which recurse once per condition or twin class).
+errors, 3 precondition violations.
 """
 
 import argparse
@@ -224,8 +223,6 @@ def run(argv=None) -> int:
         message, code = exc, 2
     except PreconditionError as exc:
         message, code = exc, 3
-    except RecursionError:  # canon recurses once per condition, iso once per twin class
-        message, code = "net too large for the search", 3
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
     print(f"error: {message}", file=sys.stderr)

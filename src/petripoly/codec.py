@@ -19,6 +19,7 @@ from .net import (
     Event,
     Labeling,
     PetriNet,
+    _depth_first,
     _Table,
     _twin_classes,
     are_isomorphic,
@@ -158,10 +159,10 @@ def canonical_poly(net: PetriNet) -> Polynomial:
             if best is not None and key_k >= best:
                 break
             left[k] -= 1
-            search(lo_k, hi_k, parts_k, entries_k, key_k)
+            yield search(lo_k, hi_k, parts_k, entries_k, key_k)
             left[k] += 1
 
-    search(0, len(net.conditions) - 1, parts, entries, sorted(entries, reverse=True))
+    _depth_first(search(0, len(net.conditions) - 1, parts, entries, sorted(entries, reverse=True)))
     # at a leaf every u is 0, so each entry is its term, and distinct groups get distinct (i, j)
     return Polynomial._trusted({(i, grade - i): coeff for grade, i, coeff in best})
 

@@ -124,6 +124,23 @@ class _Table(dict):
         return found
 
 
+def _depth_first(root):
+    """Run a depth-first search whose steps are generators, on an explicit
+    stack instead of the interpreter's.  A step yields each child step in
+    turn, or True at a solution; code after a yield runs once that child's
+    subtree is done.  True as soon as a step yields True, else False."""
+    stack = [root]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:  # the top step is done
+            stack.pop()
+        elif step is True:
+            return True
+        else:
+            stack.append(step)
+    return False
+
+
 def _unique_ids(candidates):
     """Deterministically rename later duplicates with '#2', '#3', ... suffixes."""
     used = set()
@@ -303,29 +320,27 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     for pair in groups1:
         due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
     beta, used, chosen = {}, set(), [None] * len(order)  # used, chosen: n2's mapped classes
-
-    def image(pair, get=beta.__getitem__):
-        return frozenset(map(get, pair[0])), frozenset(map(get, pair[1]))
+    images, get = {}, beta.__getitem__  # images: pair of n1 -> its image at its last check
 
     def extend(k):
-        if any(len(groups2.get(image(p), ())) != len(groups1[p]) for p in due[k - 1]):
-            return False
+        for p in due[k - 1]:
+            images[p] = found = frozenset(map(get, p[0])), frozenset(map(get, p[1]))
+            if len(groups2.get(found, ())) != len(groups1[p]):
+                return
         if k == len(order):
-            return True
+            yield True  # the driver stops here and never resumes this step
         c, parent = order[k]
         for d in alike[sig1[c]] if parent is None else near[chosen[parent], c]:
             if d not in used:
                 beta.update(zip(members1[c], members2[d]))  # deeper steps reassign before use
                 used.add(d)
                 chosen[k] = d
-                if extend(k + 1):
-                    return True
+                yield extend(k + 1)
                 used.discard(d)
-        return False
 
-    if not extend(0):
+    if not _depth_first(extend(0)):
         return None
-    eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[image(pair)])}
+    eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[images[pair]])}
     return beta, eta
 
 

@@ -12,7 +12,7 @@ import petripoly
 from petripoly import Event, PetriNet, decode, encode, parse_poly, print_poly, read_net, write_net
 from petripoly.cli import run
 
-from helpers import cycle_net, union
+from helpers import cycle_net, is_valid_witness, union
 
 INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
@@ -174,20 +174,15 @@ def test_result_past_int_limit_exits_3(tmp_path, capsys, argv, content):
 
 
 @pytest.mark.parametrize(
-    "argv, net",
+    "argv",
     [
-        (["iso"] * 2, cycle_net(1500, "c")),  # the search recurses once per condition
-        (["decompose", "-p", "100000000000000000000000000319"], None),  # 30-digit prime
+        ["decompose", "-p", "100000000000000000000000000319"],  # 30-digit prime
         # (10^19 + 51) * (2 * 10^19 + 11): rho would need about 10^9.5 steps
-        (["decompose", "-p", "200000000000000001130000000000000000561"], None),
+        ["decompose", "-p", "200000000000000001130000000000000000561"],
     ],
-    ids=["long-cycle-iso", "unprovable-prime-content", "rho-budget-content"],
+    ids=["unprovable-prime-content", "rho-budget-content"],
 )
-def test_beyond_reach_exits_3_with_one_line(tmp_path, capsys, argv, net):
-    if net is not None:
-        path = tmp_path / "net.json"
-        path.write_text(write_net(net))
-        argv = [argv[0], str(path), str(path)]
+def test_beyond_reach_exits_3_with_one_line(capsys, argv):
     assert run(argv) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -289,6 +284,19 @@ def test_iso_identity(relay_file, capsys):
     assert witness["events"] == {"a": "a", "b": "b", "c": "c"}
 
 
+def test_iso_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """The search takes one step per condition of a 1500-cycle, on its own
+    stack, so the interpreter's recursion limit does not cap the net size."""
+    cycle = cycle_net(1500, "c")
+    path = tmp_path / "net.json"
+    path.write_text(write_net(cycle))
+    assert run(["iso", str(path), str(path)]) == 0
+    out = capsys.readouterr()
+    witness = json.loads(out.out)
+    assert out.err == ""
+    assert is_valid_witness(cycle, cycle, witness["conditions"], witness["events"])
+
+
 def test_iso_false_is_silent_exit_1(relay_file, chain_file, capsys):
     assert run(["iso", relay_file, chain_file]) == 1
     out = capsys.readouterr()
@@ -300,9 +308,12 @@ def test_canon_verb(relay_file, capsys):
     assert capsys.readouterr().out == "x*y^2 + y^2 + x + 1\n"
 
 
-def test_canon_with_many_isolated_conditions(tmp_path, capsys):
+@pytest.mark.parametrize("k", [20, 1500])
+def test_canon_with_many_isolated_conditions(tmp_path, capsys, k):
+    """The isolated conditions are one twin class, labeled one per search
+    step, so at k = 1500 the search runs deeper than the recursion limit."""
     path = tmp_path / "net.json"
-    path.write_text(write_net(union(cycle_net(5, "c"), PetriNet([f"i{k}" for k in range(20)]))))
+    path.write_text(write_net(union(cycle_net(5, "c"), PetriNet([f"i{j}" for j in range(k)]))))
     assert run(["canon", str(path)]) == 0
     assert capsys.readouterr().out == "x^2*y^16 + x^16*y + x^4*y^8 + x^8*y^2 + x*y^4 + 1\n"
 

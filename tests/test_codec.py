@@ -274,6 +274,21 @@ def test_canonical_poly_of_cycles_has_closed_form():
     assert canonical_poly(copy) == cycle_closed_form(16)
 
 
+def test_canonical_poly_of_deep_pre_blocks():
+    """Three events whose pre-sets are disjoint 400-condition blocks: three
+    twin classes, whose 1200 conditions the search labels one per step,
+    deeper than the interpreter's recursion limit.  The first block takes
+    the top label and the bottom 399, the second the next label down and the
+    next 399 up, the third the 400 in between."""
+    blocks = [[f"b{k}_{j}" for j in range(400)] for k in range(3)]
+    net = PetriNet([b for block in blocks for b in block],
+                   [Event(f"e{k}", block, ()) for k, block in enumerate(blocks)])
+    closed = Polynomial({(0, 0): 1, (2**1199 + 2**399 - 1, 0): 1,
+                         (2**1198 + 2**798 - 2**399, 0): 1, (2**1198 - 2**798, 0): 1})
+    assert canonical_poly(net) == closed
+    assert canonical_poly(relabeled_copy(random.Random(1200), net)) == closed
+
+
 def test_decoded_canonical_cycle_is_isomorphic_to_the_cycle():
     """The net decoded from C16's canonical polynomial, passed first.  Both
     nets name their conditions c0 ... c15, and a search that mapped them in

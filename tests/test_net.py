@@ -425,11 +425,13 @@ def test_isomorphism_agrees_with_brute_force():
     assert searched >= 20
 
 
-@pytest.mark.parametrize("n", [6, 8, 10, 12, 40, 300])
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 40, 300, 1500])
 def test_cycle_against_two_half_cycles(n):
     """Every condition has the same signature, so the component sizes refute
     the pair, and on the copy each next condition has at most two candidates:
-    the unused neighbours of its mapped neighbour's image."""
+    the unused neighbours of its mapped neighbour's image.  The search takes
+    one step per condition, so at n = 1500 it runs deeper than the
+    interpreter's recursion limit."""
     start = time.perf_counter()
     cycle = cycle_net(n, "c")
     halves = [cycle_net(n // 2, prefix) for prefix in "ab"]
