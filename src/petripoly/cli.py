@@ -130,7 +130,7 @@ def _cmd_decompose(args):
 
 def _cmd_iso(args):
     import json
-    from .net import are_isomorphic
+    from .search import are_isomorphic
     witness = are_isomorphic(*_two_nets(args))
     if witness is None:
         return None
@@ -139,8 +139,8 @@ def _cmd_iso(args):
 
 
 def _cmd_canon(args):
-    from .codec import canonical_poly
     from .polynomial import print_poly
+    from .search import canonical_poly
     n, _ = _read_net_file(args.net)
     return [print_poly(canonical_poly(n))]
 

@@ -18,9 +18,10 @@ disjoint supports, so the product's monomials of k bits come from pairs
 of fewer bits, and the product is built one bit count at a time, only up
 to the first count at which it and c*F differ.  Constant factors
 escape that picture (their support is empty), so integer prime content
-is pulled out separately.  Recursion over the two parts yields prime
-factors; at the net level this realizes the decomposition of a net into
-prime components of the synchronization product.
+is pulled out separately.  So the block stops at exactly G's support,
+and splitting G off until the rest is prime yields the prime factors; at
+the net level this realizes the decomposition of a net into prime
+components of the synchronization product.
 """
 
 from itertools import count, islice
@@ -137,7 +138,8 @@ def split_once(poly: Polynomial) -> tuple | None:
     differing monomials with the fewest bits, so there are at most as
     many checks as support bits.  Any returned pair multiplies back
     exactly, has disjoint supports, and has positive constant terms on
-    both sides.
+    both sides.  Its first part is prime: the smallest prime of the
+    content, else the prime factor that holds the lowest support bit.
     """
     _check_splittable(poly)
     content = gcd(*poly.terms.values())
@@ -197,20 +199,18 @@ def decompose(poly: Polynomial) -> list[Polynomial]:
     prime factors, but an empty product would be unhelpful output).
     The integer content is factored once, up front; the primitive part
     that remains stays primitive through every split (Gauss's lemma),
-    so split_once never meets a content again.
+    so split_once never meets a content again.  Each split's first part
+    is prime, so only the rest is split again, until it is prime itself.
     """
     _check_splittable(poly)
     content = gcd(*poly.terms.values())
     primes = [Polynomial.constant(p) for p in _prime_factors(content)] if content > 1 else []
-    primitive = Polynomial._trusted({key: a // content for key, a in poly.terms.items()})
-    pending = [primitive] if primitive != ONE or not primes else []
-    while pending:
-        candidate = pending.pop()
-        split = split_once(candidate)
-        if split is None:
-            primes.append(candidate)
-        else:
-            pending.extend(split)
+    rest = Polynomial._trusted({key: a // content for key, a in poly.terms.items()})
+    if rest != ONE or not primes:
+        while (split := split_once(rest)) is not None:
+            prime, rest = split
+            primes.append(prime)
+        primes.append(rest)
     primes.sort(key=Polynomial.sort_key)
     return primes
 

@@ -12,7 +12,6 @@ not inside it.
 """
 
 import json
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -27,7 +26,6 @@ __all__ = [
     "isolated_conditions",
     "product",
     "attach",
-    "are_isomorphic",
     "to_dot",
     "write_net",
     "read_net",
@@ -124,23 +122,6 @@ class _Table(dict):
         return found
 
 
-def _depth_first(root):
-    """Run a depth-first search whose steps are generators, on an explicit
-    stack instead of the interpreter's.  A step yields each child step in
-    turn, or True at a solution; code after a yield runs once that child's
-    subtree is done.  True as soon as a step yields True, else False."""
-    stack = [root]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:  # the top step is done
-            stack.pop()
-        elif step is True:
-            return True
-        else:
-            stack.append(step)
-    return False
-
-
 def _unique_ids(candidates):
     """Deterministically rename later duplicates with '#2', '#3', ... suffixes."""
     used = set()
@@ -221,127 +202,6 @@ def attach(n1: PetriNet, l1: Labeling, n2: PetriNet, l2: Labeling):
                             frozenset(by_label[l2[b]] for b in event.post)))
     events.append(Event(event_ids[-1]))
     return PetriNet(by_label.values(), events), {b: label for label, b in by_label.items()}
-
-
-def _twin_classes(net):
-    """Event ids grouped by (pre, post) pair, in event order, and the twin
-    classes: conditions in the same pre-sets and post-sets, such as isolated
-    ones, keyed by their (group index, in pre, in post) entries, listed by id.
-    Permuting a class is an automorphism; an isomorphism maps classes onto classes."""
-    groups = defaultdict(list)
-    for event in net.events:
-        groups[(event.pre, event.post)].append(event.id)
-    entries = {b: [] for b in net.conditions}
-    for g, (pre, post) in enumerate(groups):
-        for b in pre | post:
-            entries[b].append((g, b in pre, b in post))
-    classes = defaultdict(list)
-    for b in sorted(net.conditions):
-        classes[tuple(entries[b])].append(b)
-    return groups, classes
-
-
-def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
-    """Search for an isomorphism; return witness maps or ``None``.
-
-    A witness is a pair (beta, eta): a condition bijection and an event
-    bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.  The
-    nets' twin classes must agree in signature (size and the sorted (|pre|,
-    |post|, events, in pre, in post) of its groups), and then their connected
-    components in size (conditions linked through shared (pre, post) groups;
-    an isolated condition stands alone).  Backtracking maps ``n1``'s classes
-    in connected order, each next one sharing a group with one mapped before,
-    from a frontier heap by rarest signature, then first member id, each
-    component from its rarest class; a class goes onto an unused class of
-    equal signature, one that shares a group with its ordered neighbour's
-    image where the signature is shared, members paired in id order.  Each
-    distinct (pre, post) pair of ``n1`` is checked once its conditions are
-    mapped, by the number of events its image carries in ``n2``.  Events pair
-    up in group order.
-    """
-    from heapq import heappop, heappush
-
-    if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
-        return None
-    (groups1, classes1), (groups2, classes2) = _twin_classes(n1), _twin_classes(n2)
-
-    def signatures(groups, classes):
-        shapes = [(len(pre), len(post), len(ids)) for (pre, post), ids in groups.items()]
-        return [(len(members), tuple(sorted(shapes[g] + (p, q) for g, p, q in key)))
-                for key, members in classes.items()]
-
-    sig1, sig2 = signatures(groups1, classes1), signatures(groups2, classes2)
-    count = Counter(sig1)
-    if count != Counter(sig2):
-        return None
-
-    def connected(classes, sigs):
-        """Class indices in connected order, each with the step of an ordered
-        class it shares a group with (None where a component starts or the
-        signature is unique); the classes in each group; the sorted sizes of
-        the components."""
-        keys, members = list(classes), list(classes.values())
-        in_group = defaultdict(list)
-        for c, key in enumerate(keys):
-            for g, _, _ in key:
-                in_group[g].append(c)
-        rank = sorted(range(len(keys)), key=lambda c: (count[sigs[c]], members[c][0]))
-        at = {c: r for r, c in enumerate(rank)}
-        order, sizes, reached, pending = [], [], {}, dict(in_group)  # pending: groups not yet walked
-        for start in rank:
-            if start in reached:
-                continue
-            reached[start], frontier, size = None, [at[start]], 0
-            while frontier:
-                c = rank[heappop(frontier)]
-                size, k = size + len(members[c]), len(order)
-                for g, _, _ in keys[c]:
-                    for d in pending.pop(g, ()):
-                        if d not in reached:
-                            reached[d] = k
-                            heappush(frontier, at[d])
-                order.append((c, reached[c] if count[sigs[c]] > 1 else None))
-            sizes += [size] if keys[start] else [1] * size  # isolated conditions stand alone
-        return order, sorted(sizes), in_group
-
-    order, sizes1, _ = connected(classes1, sig1)
-    _, sizes2, in_group2 = connected(classes2, sig2)
-    if sizes1 != sizes2:
-        return None
-    members1, keys2, members2 = list(classes1.values()), list(classes2), list(classes2.values())
-    alike = defaultdict(list)  # signature -> n2's classes
-    for d, sig in enumerate(sig2):
-        alike[sig].append(d)
-    # (image d, class c of n1) -> n2's classes that share a group with d and have c's signature
-    near = _Table(lambda dc: sorted({e for g, _, _ in keys2[dc[0]] for e in in_group2[g]
-                                     if sig2[e] == sig1[dc[1]]}))
-    step = {b: k for k, (c, _) in enumerate(order) for b in members1[c]}
-    due = defaultdict(list)  # k -> pairs of n1 whose last condition is in order[k]
-    for pair in groups1:
-        due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
-    beta, used, chosen = {}, set(), [None] * len(order)  # used, chosen: n2's mapped classes
-    images, get = {}, beta.__getitem__  # images: pair of n1 -> its image at its last check
-
-    def extend(k):
-        for p in due[k - 1]:
-            images[p] = found = frozenset(map(get, p[0])), frozenset(map(get, p[1]))
-            if len(groups2.get(found, ())) != len(groups1[p]):
-                return
-        if k == len(order):
-            yield True  # the driver stops here and never resumes this step
-        c, parent = order[k]
-        for d in alike[sig1[c]] if parent is None else near[chosen[parent], c]:
-            if d not in used:
-                beta.update(zip(members1[c], members2[d]))  # deeper steps reassign before use
-                used.add(d)
-                chosen[k] = d
-                yield extend(k + 1)
-                used.discard(d)
-
-    if not _depth_first(extend(0)):
-        return None
-    eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[images[pair]])}
-    return beta, eta
 
 
 def _dot_name(token):

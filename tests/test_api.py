@@ -7,11 +7,11 @@ import sys
 from pathlib import Path
 
 import petripoly
-from petripoly import codec, errors, factor, net, polynomial
+from petripoly import codec, errors, factor, net, polynomial, search
 
 
 def test_package_exports_each_modules_all():
-    names = ["__version__"] + [name for module in (errors, polynomial, net, codec, factor)
+    names = ["__version__"] + [name for module in (errors, polynomial, net, codec, search, factor)
                                for name in module.__all__]
     assert petripoly.__all__ == names
     assert len(set(names)) == len(names)

@@ -438,12 +438,12 @@ VERB_MODULES = {
     "add": (lambda r, c, f: ["-p", "x+1", "-p", "y^2"], {"polynomial"}),
     "product": (lambda r, c, f: [r, c], {"net"}),
     "attach": (lambda r, c, f: [c, f], {"net"}),
-    "iso": (lambda r, c, f: [r, r], {"net"}),
+    "iso": (lambda r, c, f: [r, r], {"net", "search"}),
     "dot": (lambda r, c, f: [r], {"net"}),
     "validate": (lambda r, c, f: [r], {"net"}),
     "encode": (lambda r, c, f: [r], {"codec", "net", "polynomial"}),
     "decode": (lambda r, c, f: ["-p", "x*y^2 + y^2 + x + 1"], {"codec", "net", "polynomial"}),
-    "canon": (lambda r, c, f: [r], {"codec", "net", "polynomial"}),
+    "canon": (lambda r, c, f: [r], {"net", "polynomial", "search"}),
     "decompose": (lambda r, c, f: ["--nets", r], {"codec", "factor", "net", "polynomial"}),
 }
 

@@ -1,6 +1,6 @@
 import random
 import time
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -16,6 +16,7 @@ from petripoly import (
     decompose,
     decompose_net,
     disjoint_support,
+    encode,
     is_prime_net,
     parse_poly,
     product,
@@ -24,9 +25,11 @@ from petripoly import (
 
 from helpers import (
     factor_oracle,
+    folded_product,
     match_up_to_iso,
     rename_conditions,
     random_net,
+    random_labeling,
     random_poly_terms,
     random_product,
     split_once_oracle,
@@ -164,6 +167,23 @@ def test_decompose_factors_the_content_once(monkeypatch):
     assert calls == [12]
 
 
+def test_decompose_splits_each_prime_off_once(monkeypatch):
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return split(poly)
+
+    split = factor_module.split_once
+    monkeypatch.setattr(factor_module, "split_once", counting)
+    primes = [parse_poly(text) for text in
+              ("x + 1", "y^2 + 1", "x^4*y^8 + x^4 + 1", "2*x^16*y^16 + 1", "x^32 + 3*y^32 + 2")]
+    for k in range(1, len(primes) + 1):
+        calls.clear()
+        assert decompose(prod(primes[:k], start=ONE)) == sorted(primes[:k])
+        assert len(calls) == k  # one split per prime but the last, and one to find it prime
+
+
 def test_decompose_large_prime_content():
     prime = 10**18 + 3
     assert decompose(Polynomial.constant(prime)) == [Polynomial.constant(prime)]
@@ -269,3 +289,15 @@ def test_prime_net_verdict_is_labeling_free():
         rng.shuffle(shuffled)
         renamed = rename_conditions(net, dict(zip(ids, shuffled)))
         assert is_prime_net(net) == is_prime_net(renamed)
+
+
+def test_factor_nets_do_not_depend_on_the_labeling():
+    rng = random.Random(43)
+    several = 0
+    for k in range(300):
+        net = random_net(rng, 5, 6) if k % 2 else folded_product(rng, rng.randint(2, 4))
+        factors = [[decode(f)[0] for f in decompose(encode(net, random_labeling(rng, net)))]
+                   for _ in range(2)]
+        assert match_up_to_iso(*factors)
+        several += len(factors[0]) > 1
+    assert several >= 100
