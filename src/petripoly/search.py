@@ -13,6 +13,7 @@ from heapq import heappop, heappush
 from .net import PetriNet, _Table
 
 __all__ = ["are_isomorphic", "canonical_poly"]
+_Polynomial = None  # petripoly.polynomial.Polynomial, bound by canonical_poly
 
 
 def _twin_classes(net):
@@ -158,76 +159,75 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
     isolated conditions get equal canonical polynomials.
 
     Found by depth-first branch and bound.  Events with equal (pre, post)
-    make one term under every labeling, so the search tracks each term's
-    exponents over the labeled conditions.  The free labels [lo, hi] go
-    out from either end: a term's u unlabeled conditions take distinct
-    labels in [lo, hi], so they add at least (2^u - 1) * 2^lo to i + j
-    (u counted over pre | post) and at least (2^u_pre - 1) * 2^lo to i
-    (u_pre counted over pre).  The descending list of these partial terms
-    is a lower bound on the sort key of every completion, and a branch
-    whose bound is not below the best key found so far is cut.  A node
-    gives hi to one condition, unless a best key exists, two or more of
-    these children are below it and fewer of those that give lo (bounded
-    from lo + 1 up) are; so the first descent labels from the top, and a
-    cycle gets its small labels next to its large ones early.  Twins (see
-    ``_twin_classes``) are interchangeable, so one of each class is tried.
+    make one term under every labeling.  The free labels [lo, hi] go out
+    from either end, so a term's u unlabeled conditions, u_pre of them in
+    pre, add at least (2^u - 1) * 2^lo to i + j and (2^u_pre - 1) * 2^lo to
+    i.  With its labeled part, that bounds the term by (grade, i, coeff),
+    packed as the int grade << 2w | i << w | coeff (i, coeff < 2^w) and
+    moved by one delta from u and u_pre as a condition is labeled; ``free``
+    and ``free_pre`` keep these per term, changed in place.  A branch whose
+    descending list of bounds is not below the best key so far is cut.  A
+    node gives hi to one condition, unless a best key exists and fewer of
+    the children that give lo (bounded from lo + 1 up) than of these, at
+    least two, are below it; so the first descent labels from the top.  One
+    member of each twin class (``_twin_classes``) is tried.
     """
-    from .polynomial import Polynomial
-
+    global _Polynomial
+    if _Polynomial is None:  # bound on the first call: iso never loads polynomial.py
+        from .polynomial import Polynomial as _Polynomial
     groups, effects, twins = _twin_classes(net)
     groups[frozenset(), frozenset()].append(None)  # the implicit idle event; no twin sits in it
     left = [len(members) for members in twins]
-    # per term: labeled part of i + j and of i, unlabeled in pre | post and in pre
-    parts = [(0, 0, len(pre | post), len(pre)) for pre, post in groups]
-    entries = [((1 << u) - 1, (1 << u_pre) - 1, len(ids))
-               for (_, _, u, u_pre), ids in zip(parts, groups.values())]
+    free, free_pre = [len(pre | post) for pre, post in groups], [len(pre) for pre, _ in groups]
+    w = max(len(net.conditions), len(net.events).bit_length()) + 1  # i, coeff < 2^w
+    entries = [((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) + len(ids)
+               for u, u_pre, ids in zip(free, free_pre, groups.values())]
     best = None
 
-    def children(label, lo, parts, entries, stop=0):
-        """Per twin class with a free member, sorted: (bound, class, parts,
-        entries) after that member takes label and the rest take labels from
-        lo; None as soon as stop (if not 0) of the bounds are below the best key."""
+    def children(label, lo, entries, stop=0):
+        """Per class with a free member, sorted: (bound, class, entries) once it takes label and
+        the rest take labels from lo; None as soon as stop (if not 0) bounds are below best."""
         bit, unit, out = 1 << label, 1 << lo, []
         for k, count in enumerate(left):
             if count:
-                parts_k, entries_k = parts[:], entries[:]
-                for g, p, q in effects[k]:
-                    grade, i, u, u_pre = parts[g]
-                    grade, i, u, u_pre = grade + (p + q) * bit, i + p * bit, u - 1, u_pre - p
-                    parts_k[g] = grade, i, u, u_pre
-                    entries_k[g] = (grade + (unit << u) - unit, i + (unit << u_pre) - unit,
-                                    entries[g][2])
+                entries_k = entries[:]
+                for g, p, q in effects[k]:  # u falls by 1 and u_pre by p
+                    entries_k[g] += (((p + q) * bit - (unit << free[g] - 1) << w)
+                                     + (p and bit - (unit << free_pre[g] - 1)) << w)
                 key_k = sorted(entries_k, reverse=True)
-                out.append((key_k, k, parts_k, entries_k))
-                if stop and key_k < best:
-                    stop -= 1
-                    if not stop:
-                        return None
-        out.sort()  # by bound, then class: the classes differ, so parts are never compared
+                out.append((key_k, k, entries_k))
+                if stop and key_k < best and not (stop := stop - 1):
+                    return None
+        out.sort()  # by bound, then class: the classes differ, so entries are never compared
         return out
 
-    def search(lo, hi, parts, entries, key):
+    def take(k, step):  # a member of class k leaves (-1) or rejoins (1) the unlabeled
+        left[k] += step
+        for g, p, _ in effects[k]:
+            free[g] += step
+            free_pre[g] += p and step
+
+    def search(lo, hi, entries, key):
         nonlocal best
         if lo > hi:
             best = key
             return
-        branch, lo_k, hi_k = children(hi, lo, parts, entries), lo, hi - 1
+        branch, lo_k, hi_k = children(hi, lo, entries), lo, hi - 1
         # (best,) sorts after every child whose bound is below best, before every other
         below = 0 if best is None else bisect_left(branch, (best,))
-        if below >= 2:
-            unit = 2 << lo
-            shifted = [(grade + (unit << u) - unit, i + (unit << u_pre) - unit, c)
-                       for (grade, i, u, u_pre), (_, _, c) in zip(parts, entries)]
-            low = children(lo, lo + 1, parts, shifted, below)
-            if low is not None:
+        if below >= 2:  # free labels from lo + 1 double each term's minima
+            shifted = [e + (((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) << lo)
+                       for e, u, u_pre in zip(entries, free, free_pre)]
+            if (low := children(lo, lo + 1, shifted, below)) is not None:
                 branch, lo_k, hi_k = low, lo + 1, hi
-        for key_k, k, parts_k, entries_k in branch:
+        for key_k, k, entries_k in branch:
             if best is not None and key_k >= best:
                 break
-            left[k] -= 1
-            yield search(lo_k, hi_k, parts_k, entries_k, key_k)
-            left[k] += 1
+            take(k, -1)
+            yield search(lo_k, hi_k, entries_k, key_k)
+            take(k, 1)
 
-    _depth_first(search(0, len(net.conditions) - 1, parts, entries, sorted(entries, reverse=True)))
-    # at a leaf every u is 0, so each entry is its term, and distinct groups get distinct (i, j)
-    return Polynomial._trusted({(i, grade - i): coeff for grade, i, coeff in best})
+    _depth_first(search(0, len(net.conditions) - 1, entries, sorted(entries, reverse=True)))
+    mask = (1 << w) - 1  # at a leaf every u is 0: each entry is its term; groups differ in (i, j)
+    terms = ((e >> 2 * w, e >> w & mask, e & mask) for e in best)
+    return _Polynomial._trusted({(i, grade - i): coeff for grade, i, coeff in terms})

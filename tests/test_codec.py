@@ -235,6 +235,30 @@ def test_canonical_poly_matches_oracle():
         assert canonical_poly(net) == canonical_oracle(net)
 
 
+def test_canonical_poly_at_the_packed_fields_limits():
+    """canonical_poly packs each term's (grade, i, coeff) into one int, with
+    a field of w bits for i and for coeff.  Nets of 0-4 conditions whose
+    events repeat up to 300 times, so that a coefficient needs more bits
+    than the condition count; events with empty pre and post, which join
+    the idle term (255 of them make its coefficient 256); full pre and post
+    sets, which make the largest i."""
+    rng = random.Random(1900)
+    for n in range(5):
+        conditions = [f"b{k}" for k in range(n)]
+        nets = [PetriNet(conditions, [Event(f"e{r}", (), ()) for r in range(255)]),
+                PetriNet(conditions, [Event(f"e{r}", conditions, conditions) for r in range(300)])]
+        for _ in range(12):
+            events = []
+            for k in range(rng.randint(1, 3)):
+                pre, post = (rng.choice([(), conditions, rng.sample(conditions, rng.randint(0, n))])
+                             for _ in range(2))
+                events += [Event(f"e{k}_{r}", pre, post)
+                           for r in range(rng.choice([1, 2, 255, 256, 300]))]
+            nets.append(PetriNet(conditions, events))
+        for net in nets:
+            assert canonical_poly(net) == canonical_oracle(net)
+
+
 def test_canonical_poly_beyond_the_sweep():
     """Nets of 9 to 25 conditions, where the n! sweep is out of reach."""
     rng = random.Random(73)
