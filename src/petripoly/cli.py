@@ -225,7 +225,10 @@ def run(argv=None) -> int:
         message, code = exc, 3
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # stderr is closed too: the exit code alone still tells
+        pass
     return code
 
 

@@ -6,7 +6,6 @@ events grouped by (pre, post) pair plus its twin classes, and both run
 their backtracking on one generator-stack driver.
 """
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from heapq import heappop, heappush
 
@@ -60,7 +59,7 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     nets' twin classes must agree in signature (size and the sorted (|pre|,
     |post|, events, in pre, in post) of its groups), and then their connected
     components in size (conditions linked through shared (pre, post) groups;
-    an isolated condition stands alone).  Backtracking maps ``n1``'s classes
+    the isolated ones form one).  Backtracking maps ``n1``'s classes
     in connected order, each next one sharing a group with one mapped before,
     from a frontier heap by rarest signature, then first member id, each
     component from its rarest class; a class goes onto an unused class of
@@ -109,7 +108,7 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
                             reached[d] = k
                             heappush(frontier, at[d])
                 order.append((c, reached[c] if count[sigs[c]] > 1 else None))
-            sizes += [size] if keys[start] else [1] * size  # isolated conditions stand alone
+            sizes.append(size)
         return order, sorted(sizes), in_group
 
     order, sizes1, _ = connected(keys1, members1, sig1)
@@ -165,12 +164,12 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
     i.  With its labeled part, that bounds the term by (grade, i, coeff),
     packed as the int grade << 2w | i << w | coeff (i, coeff < 2^w) and
     moved by one delta from u and u_pre as a condition is labeled; ``free``
-    and ``free_pre`` keep these per term, changed in place.  A branch whose
-    descending list of bounds is not below the best key so far is cut.  A
-    node gives hi to one condition, unless a best key exists and fewer of
-    the children that give lo (bounded from lo + 1 up) than of these, at
-    least two, are below it; so the first descent labels from the top.  One
-    member of each twin class (``_twin_classes``) is tried.
+    and ``free_pre`` keep these per term, changed in place.  A child is kept
+    only while its descending list of bounds is below the best key, if any; a
+    later leaf may still cut it.  A node gives hi to one condition, unless a
+    best key exists, two or more children are kept, and fewer of those that
+    give lo (bounded from lo + 1 up) would be; so the first descent labels from
+    the top.  Only one member of each twin class (``_twin_classes``) is tried.
     """
     global _Polynomial
     if _Polynomial is None:  # bound on the first call: iso never loads polynomial.py
@@ -184,9 +183,10 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
                for u, u_pre, ids in zip(free, free_pre, groups.values())]
     best = None
 
-    def children(label, lo, entries, stop=0):
+    def children(label, lo, entries, most=0):
         """Per class with a free member, sorted: (bound, class, entries) once it takes label and
-        the rest take labels from lo; None as soon as stop (if not 0) bounds are below best."""
+        the rest take labels from lo, kept only while no best key exists or the bound is below
+        it; None as soon as most (if not 0) are kept."""
         bit, unit, out = 1 << label, 1 << lo, []
         for k, count in enumerate(left):
             if count:
@@ -195,9 +195,10 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
                     entries_k[g] += (((p + q) * bit - (unit << free[g] - 1) << w)
                                      + (p and bit - (unit << free_pre[g] - 1)) << w)
                 key_k = sorted(entries_k, reverse=True)
-                out.append((key_k, k, entries_k))
-                if stop and key_k < best and not (stop := stop - 1):
-                    return None
+                if best is None or key_k < best:
+                    out.append((key_k, k, entries_k))
+                    if len(out) == most:
+                        return None
         out.sort()  # by bound, then class: the classes differ, so entries are never compared
         return out
 
@@ -213,12 +214,10 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
             best = key
             return
         branch, lo_k, hi_k = children(hi, lo, entries), lo, hi - 1
-        # (best,) sorts after every child whose bound is below best, before every other
-        below = 0 if best is None else bisect_left(branch, (best,))
-        if below >= 2:  # free labels from lo + 1 double each term's minima
+        if best is not None and len(branch) > 1:  # labels from lo + 1 double each term's minima
             shifted = [e + (((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) << lo)
                        for e, u, u_pre in zip(entries, free, free_pre)]
-            if (low := children(lo, lo + 1, shifted, below)) is not None:
+            if (low := children(lo, lo + 1, shifted, len(branch))) is not None:
                 branch, lo_k, hi_k = low, lo + 1, hi
         for key_k, k, entries_k in branch:
             if best is not None and key_k >= best:

@@ -10,13 +10,14 @@ a complete rank-1 grid of coefficients, one factorization step by
 multiplying out the whole product at every block check, polynomial text
 by one regular expression per whole term rather than by splitting on
 separators, a net's JSON text as the document of dicts and lists
-that ``json.loads`` must give back, and the encoding by one sum per
-event over its own conditions.
+that ``json.loads`` must give back, the encoding by one sum per event
+over its own conditions, and Winskel's morphisms by trying every partial
+map of conditions.
 """
 
 import re
-from collections import Counter
-from itertools import combinations, permutations
+from collections import Counter, defaultdict
+from itertools import combinations, permutations, product as tuples
 from math import gcd
 
 from petripoly import (
@@ -118,6 +119,31 @@ def product_oracle(n1, n2):
                 post |= {f"R:{b}" for b in e2.post}
             events.append(Event(name, pre, post))
     return PetriNet(conditions, events)
+
+
+def winskel_morphisms(n0, n1):
+    """Every Winskel morphism (eta, beta) from n0 to n1, for nets without
+    markings: eta maps each event id of n0 to an event id of n1, or to None
+    for the idle event, and beta, the partial map beta^op, maps some
+    conditions of n1 to conditions of n0, such that beta.pre(e) =
+    pre(eta(e)) and beta.post(e) = post(eta(e)), where beta.A is the set of
+    n1's conditions that beta maps into A and the idle event has empty sets.
+    Enumerates beta first; each event's images then follow independently."""
+    targets = sorted(n1.conditions)
+    by_sets = defaultdict(list)
+    for f in n1.events:
+        by_sets[f.pre, f.post].append(f.id)
+    idle = (frozenset(), frozenset())
+    found = []
+    for sources in tuples([None, *sorted(n0.conditions)], repeat=len(targets)):
+        beta = {b1: b0 for b1, b0 in zip(targets, sources) if b0 is not None}
+        choices = []
+        for e in n0.events:
+            sets = tuple(frozenset(b1 for b1, b0 in beta.items() if b0 in side)
+                         for side in (e.pre, e.post))
+            choices.append(by_sets.get(sets, []) + [None] * (sets == idle))
+        found += [(dict(zip([e.id for e in n0.events], eta)), beta) for eta in tuples(*choices)]
+    return found
 
 
 def encode_oracle(net, labeling):

@@ -374,6 +374,8 @@ def test_broken_stdout_exits_2_with_one_line(monkeypatch, capsys, argv):
     monkeypatch.setattr(sys, "stdout", _BrokenPipe())
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    monkeypatch.setattr(sys, "stderr", _BrokenPipe())  # the diagnostic cannot be written either
+    assert run(argv) == 2
 
 
 def test_encode_decode_pipeline_reproduces_text(capsys):

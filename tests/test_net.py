@@ -42,6 +42,7 @@ from helpers import (
     rename_conditions,
     twin_block_net,
     union,
+    winskel_morphisms,
 )
 
 
@@ -262,6 +263,38 @@ def test_product_shares_one_set_per_distinct_side():
             assert len({id(s) for s in sets}) == len(set(sets))
             shared += len(set(sets)) < len(sets)
     assert shared > 30  # most products repeat their sets
+
+
+def test_product_is_the_categorical_product_for_winskel_morphisms():
+    # the paper's theorem: composing with the two projections is a bijection from
+    # Hom(n0, n1 x n2) onto Hom(n0, n1) x Hom(n0, n2); the projections are read off
+    # product's pair order and its L:/R: tags
+    def key(morphism):
+        eta, beta = morphism
+        return tuple(eta.items()), tuple(sorted(beta.items()))
+
+    def compose(morphism, side, tag):  # the projection onto one side, after the morphism
+        eta, beta = morphism
+        return ({e: side.get(f) for e, f in eta.items()},
+                {b[2:]: b0 for b, b0 in beta.items() if b.startswith(tag)})
+
+    rng = random.Random(47)
+    into_products = 0
+    for _ in range(150):
+        n0, n1, n2 = (random_net(rng, max_conditions=3, max_events=3) for _ in range(3))
+        p = product(n1, n2)
+        pairs = [(e1, e2) for e1 in [*n1.events, None] for e2 in [None, *n2.events]
+                 if e1 is not None or e2 is not None]
+        assert len(pairs) == len(p.events)
+        left = {f.id: e1.id for f, (e1, _) in zip(p.events, pairs) if e1 is not None}
+        right = {f.id: e2.id for f, (_, e2) in zip(p.events, pairs) if e2 is not None}
+        homs = winskel_morphisms(n0, p)
+        images = {(key(compose(h, left, "L:")), key(compose(h, right, "R:"))) for h in homs}
+        assert len(images) == len(homs)
+        assert images == {(key(h1), key(h2)) for h1 in winskel_morphisms(n0, n1)
+                          for h2 in winskel_morphisms(n0, n2)}
+        into_products += len(homs)
+    assert into_products > 1000
 
 
 # ----------------------------------------------------------------- attach
