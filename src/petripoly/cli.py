@@ -4,7 +4,8 @@ One verb per invocation.  A verb's handler imports what it calls and
 returns its lines for stdout, or None for "not isomorphic"; :func:`run`
 prints them, or a one-line diagnostic on stderr, and makes the exit code:
 0 success (and isomorphic), 1 not isomorphic, 2 usage or input-format
-errors, 3 precondition violations.
+errors, 3 precondition violations.  A note, warning or diagnostic that
+stderr cannot take is dropped; the result and the exit code stand.
 """
 
 import argparse
@@ -26,6 +27,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _note(line):
+    try:
+        print(line, file=sys.stderr)
+    except OSError:  # stderr is closed or full: stdout and the exit code still tell
+        pass
+
+
 def _read_net_file(path):
     from .net import read_net
     with open(path, encoding="utf-8") as fh:
@@ -39,18 +47,11 @@ def _read_labeled_net(path):
     from .net import isolated_conditions
     n, labels = _read_net_file(path)
     if labels is None:
-        print(
-            "note: input carries no labels; assigning 0,1,... by sorted condition id",
-            file=sys.stderr,
-        )
+        _note("note: input carries no labels; assigning 0,1,... by sorted condition id")
         labels = {b: t for t, b in enumerate(sorted(n.conditions))}
     dropped = sorted(isolated_conditions(n))
     if dropped:
-        print(
-            "warning: isolated conditions are invisible to the encoding: "
-            + ", ".join(dropped),
-            file=sys.stderr,
-        )
+        _note("warning: isolated conditions are invisible to the encoding: " + ", ".join(dropped))
     return n, labels
 
 
@@ -225,10 +226,7 @@ def run(argv=None) -> int:
         message, code = exc, 3
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    try:
-        print(f"error: {message}", file=sys.stderr)
-    except OSError:  # stderr is closed too: the exit code alone still tells
-        pass
+    _note(f"error: {message}")
     return code
 
 

@@ -18,6 +18,7 @@ from petripoly import (
     encode,
     isolated_conditions,
     parse_poly,
+    print_poly,
     roundtrip_check,
     validate,
 )
@@ -268,9 +269,16 @@ def test_canonical_poly_beyond_the_sweep():
         if len(net.conditions) >= 9:
             nets.append(net)
     # the benchmark's sparse shape, 1-2 pre and 1-2 post conditions per event
-    nets += [sparse_net(random.Random(f"sparse/12/{k}"), 12, 12) for k in range(3)]
-    for net in nets:
+    sparse = [sparse_net(random.Random(f"sparse/12/{k}"), 12, 12) for k in range(3)]
+    for net in nets + sparse:
+        start = time.perf_counter()
         canon = canonical_poly(net)
+        assert time.perf_counter() - start < 60
+        if net is sparse[1]:  # the slowest known 12-condition net: 26 281 search nodes
+            assert print_poly(canon) == (
+                "x^2048*y^3 + x^4*y^1040 + x^1024*y^17 + x^16*y^1024 + x^1028*y^10"
+                " + x^8*y^1024 + x^1024*y^2 + x^2*y^1024 + x^512*y^48 + x^520*y^4"
+                " + x^66*y^416 + x^2*y^128 + 1")
         used = net.conditions - isolated_conditions(net)
         assert canon.support() == frozenset(range(len(used)))
         assert canon <= encode(net, {b: t for t, b in enumerate(sorted(net.conditions))})

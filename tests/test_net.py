@@ -479,7 +479,7 @@ def filled_and_drained(ids):
     return PetriNet(ids, [Event("fill", set(), ids), Event("drain", ids, set())])
 
 
-@pytest.mark.parametrize("k", [8, 40])
+@pytest.mark.parametrize("k", [8, 9, 40])
 @pytest.mark.parametrize("n, twins", [(10, PetriNet), (8, filled_and_drained)],
                          ids=["isolated", "filled"])
 def test_twin_classes_are_mapped_whole(n, twins, k):
