@@ -80,16 +80,10 @@ def _cmd_decode(args):
     return [write_net(n, labels)]
 
 
-def _cmd_mul(args):
+def _cmd_mul_or_add(args):
     from .polynomial import print_poly
     p, q = _poly_inputs(args, 2)
-    return [print_poly(p * q)]
-
-
-def _cmd_add(args):
-    from .polynomial import print_poly
-    p, q = _poly_inputs(args, 2)
-    return [print_poly(p + q)]
+    return [print_poly(p * q if args.verb == "mul" else p + q)]
 
 
 def _two_nets(args):
@@ -174,8 +168,8 @@ _POLYS = [
 _VERBS = {
     "encode": ("net JSON -> polynomial text", _cmd_encode, _NET),
     "decode": ("polynomial -> net JSON (with labels)", _cmd_decode, _POLYS),
-    "mul": ("multiply two polynomials", _cmd_mul, _POLYS),
-    "add": ("add two polynomials", _cmd_add, _POLYS),
+    "mul": ("multiply two polynomials", _cmd_mul_or_add, _POLYS),
+    "add": ("add two polynomials", _cmd_mul_or_add, _POLYS),
     "product": ("synchronization product of two nets", _cmd_product, _TWO_NETS),
     "attach": ("glue two labeled nets along equal labels", _cmd_attach,
                [_arg(side, help="net JSON file (labels required)") for side in ("left", "right")]),

@@ -1,4 +1,4 @@
-"""Shared generators and independent oracles.
+"""Shared generators, independent oracles and a child interpreter.
 
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
@@ -15,11 +15,16 @@ over its own conditions, and Winskel's morphisms by trying every partial
 map of conditions.
 """
 
+import os
 import re
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from itertools import combinations, permutations, product as tuples
 from math import gcd
+from pathlib import Path
 
+import petripoly
 from petripoly import (
     ONE,
     Event,
@@ -463,3 +468,17 @@ def rename_conditions(net, mapping):
         [Event(e.id, {mapping[b] for b in e.pre}, {mapping[b] for b in e.post})
          for e in net.events],
     )
+
+
+# ---------------------------------------------------- child interpreters
+
+# -B so that no bytecode lands in src/, -S so that no site hook (some
+# import typing) loads modules the package did not ask for.
+SRC = str(Path(petripoly.__file__).parent.parent)
+
+
+def child_interpreter(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """``python -B -S *args`` in a fresh process that imports the package from SRC."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-B", "-S", *args],
+                          stdout=stdout, stderr=stderr, env=env, timeout=60)

@@ -1,13 +1,14 @@
-"""The package's public names: each module's ``__all__``, declared once."""
+"""The package's public names: each module's ``__all__``, declared once; and
+every source file, which must compile and import without a warning."""
 
 import ast
-import os
-import subprocess
-import sys
+import warnings
 from pathlib import Path
 
 import petripoly
 from petripoly import codec, errors, factor, net, polynomial, search
+
+from helpers import child_interpreter
 
 
 def test_package_exports_each_modules_all():
@@ -23,12 +24,11 @@ def test_package_exports_each_modules_all():
 
 
 def _first_statements(code):
-    """What ``code`` prints as the first statements of a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(petripoly.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return ast.literal_eval(proc.stdout)
+    """What ``code`` prints as the first statements of a fresh interpreter,
+    where any warning, at import or after, is an error."""
+    proc = child_interpreter("-W", "error", "-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return ast.literal_eval(proc.stdout.decode())
 
 
 def test_fresh_interpreter_sees_the_same_names():
@@ -43,3 +43,13 @@ def test_fresh_interpreter_sees_the_same_names():
         assert _first_statements(
             f"import petripoly\ntry: petripoly.{name}\nexcept AttributeError as e: print(repr(str(e)))"
         ) == f"module 'petripoly' has no attribute '{name}'"
+
+
+def test_every_source_file_compiles_with_warnings_as_errors():
+    for directory in ("src", "tests", "perfbench"):
+        files = sorted((Path(__file__).parent.parent / directory).rglob("*.py"))
+        assert files, directory
+        for path in files:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                compile(path.read_bytes(), str(path), "exec")

@@ -3,19 +3,16 @@ import io
 import json
 import os
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import petripoly
 from petripoly import (Event, PetriNet, Polynomial, decode, encode, parse_poly, print_poly,
                        read_net, write_net)
 from petripoly.cli import run
 
-from helpers import cycle_net, is_valid_witness, relabeled_copy, union
+from helpers import child_interpreter, cycle_net, is_valid_witness, relabeled_copy, union
 
 INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
@@ -112,10 +109,11 @@ def test_decode_constant_two(capsys):
 
 
 def test_decode_without_constant_term_exits_3(capsys):
-    assert run(["decode", "-p", "x"]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error:")
+    for text in ("x", "x*y + y"):
+        assert run(["decode", "-p", text]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")
 
 
 def test_parse_error_exits_2(capsys):
@@ -129,6 +127,7 @@ def test_parse_error_exits_2(capsys):
     "argv, content",
     [
         (["mul", "-p", "x^²", "-p", "1"], None),
+        (["mul", "-p", "x^", "-p", "1"], None),
         (["decode"], b"x+\xff"),
         (["validate"], b"\xff\xfe{"),
         (["validate"], b"[" * 100_000),
@@ -138,7 +137,7 @@ def test_parse_error_exits_2(capsys):
             marks=needs_int_limit,
         ),
     ],
-    ids=["superscript-digit", "non-utf8-poly", "non-utf8-net", "deep-json", "long-json-int"],
+    ids=["superscript-digit", "empty-exponent", "non-utf8-poly", "non-utf8-net", "deep-json", "long-json-int"],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     if content is not None:
@@ -211,6 +210,8 @@ def test_label_too_large_to_encode_exits_3_with_one_line(tmp_path, capsys, verb,
 def test_mul_and_add(capsys):
     assert run(["mul", "-p", "x+1", "-p", "y^2+1"]) == 0
     assert capsys.readouterr().out == "x*y^2 + y^2 + x + 1\n"
+    assert run(["mul", "-p", "x+1", "-p", "y+1"]) == 0
+    assert capsys.readouterr().out == "x*y + x + y + 1\n"
     assert run(["add", "-p", "x^2*y^4+1", "-p", "x^4*y^24+1"]) == 0
     assert capsys.readouterr().out == "x^4*y^24 + x^2*y^4 + 2\n"
 
@@ -235,6 +236,33 @@ def test_product_verb(chain_file, fork_file, capsys):
     assert labels is None
     assert len(net.conditions) == 5
     assert len(net.events) == 1 * 1 + 1 + 1
+
+
+def test_product_law_through_the_cli(tmp_path, capsys):
+    """encode(a x b) = encode(a) * encode(b) on disjoint labels, and decompose
+    gives the two encodings back; the product carries no labels, so encode
+    assigns 0-3 by sorted id, which is how a's 0, 1 and b's 2, 3 sort."""
+    a, b, ab = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ab.json"
+    a.write_text(json.dumps({
+        "conditions": [{"id": "a0", "label": 0}, {"id": "a1", "label": 1}],
+        "events": [{"id": "e", "pre": ["a0"], "post": ["a1"]}, {"id": "f", "pre": ["a1"], "post": []}],
+    }))
+    b.write_text(json.dumps({
+        "conditions": [{"id": "b0", "label": 2}, {"id": "b1", "label": 3}],
+        "events": [{"id": "g", "pre": ["b0", "b1"], "post": ["b1"]}, {"id": "h", "pre": ["b1"], "post": ["b0"]},
+                   {"id": "k", "pre": [], "post": ["b0"]}],
+    }))
+
+    def stdout_of(*argv):
+        assert run(list(argv)) == 0
+        return capsys.readouterr().out
+
+    ab.write_text(stdout_of("product", str(a), str(b)))
+    encodings = [stdout_of("encode", str(path)) for path in (a, b)]
+    assert encodings == ["x*y^2 + x^2 + 1\n", "x^12*y^8 + x^8*y^4 + y^4 + 1\n"]
+    encoded = stdout_of("encode", str(ab))
+    assert encoded == stdout_of("mul", "-p", encodings[0], "-p", encodings[1])
+    assert stdout_of("decompose", "-p", encoded) == "".join(encodings)
 
 
 def test_attach_verb(chain_file, fork_file, capsys):
@@ -373,6 +401,9 @@ def test_unknown_verb_exits_2(capsys):
 def test_version(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr() == ("petripoly 0.1.0\n", "")
+    assert run(["-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: petripoly ") and err == ""
 
 
 class _BrokenPipe(io.StringIO):
@@ -419,17 +450,6 @@ def test_roundtrip_through_files(tmp_path, capsys):
     assert capsys.readouterr().out == "x^3*y^3 + 2*x^2 + y + 2\n"
 
 
-# Child interpreters: -B so that no bytecode lands in src/, -S so that no
-# site hook (some import typing) loads modules the package did not ask for.
-SRC = str(Path(petripoly.__file__).parent.parent)
-
-
-def _child(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
-    env = {**os.environ, "PYTHONPATH": SRC}
-    return subprocess.run([sys.executable, "-B", "-S", *args],
-                          stdout=stdout, stderr=stderr, env=env, timeout=60)
-
-
 FRESH_RUN = """
 import io, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -466,7 +486,7 @@ def test_each_verb_has_help(verb, capsys):
 
 def test_import_petripoly_loads_no_submodule_and_cli_only_errors():
     show = "print(sorted(m for m in sys.modules if 'petripoly' in m));"
-    proc = _child("-c", f"import sys, petripoly; {show} from petripoly import cli; {show}")
+    proc = child_interpreter("-c", f"import sys, petripoly; {show} from petripoly import cli; {show}")
     assert proc.stdout.decode().splitlines() == [
         "['petripoly']", "['petripoly', 'petripoly.cli', 'petripoly.errors']"], proc.stderr
 
@@ -475,7 +495,7 @@ def test_import_petripoly_loads_no_submodule_and_cli_only_errors():
 def test_each_verb_loads_only_the_modules_it_calls(verb, relay_file, chain_file, fork_file, capsys):
     arguments, modules = VERB_MODULES[verb]
     argv = [verb, *arguments(relay_file, chain_file, fork_file)]
-    proc = _child("-c", FRESH_RUN, *argv)
+    proc = child_interpreter("-c", FRESH_RUN, *argv)
     assert proc.returncode == 0, proc.stderr
     code, out, err, loaded, typing_loaded = ast.literal_eval(proc.stdout.decode())
     assert loaded == sorted(f"petripoly.{m}" for m in {"cli", "errors", *modules})
@@ -485,7 +505,7 @@ def test_each_verb_loads_only_the_modules_it_calls(verb, relay_file, chain_file,
 
 @pytest.mark.parametrize("argv", [["mul", "-p", "x+1", "-p", "y+1"], ["mul", "-p", "x^", "-p", "1"], []])
 def test_module_entry_point_prints_what_run_prints(argv, capsys):
-    proc = _child("-m", "petripoly.cli", *argv)
+    proc = child_interpreter("-m", "petripoly.cli", *argv)
     code = run(argv)
     out, err = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
@@ -500,7 +520,7 @@ def test_output_into_a_closed_pipe_exits_2(tmp_path):
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = _child("-m", "petripoly.cli", "decode", str(path), stdout=write, stderr=write)
+        proc = child_interpreter("-m", "petripoly.cli", "decode", str(path), stdout=write, stderr=write)
     finally:
         os.close(write)
     assert proc.returncode == 2
