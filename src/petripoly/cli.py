@@ -1,6 +1,8 @@
 """Command-line interface.
 
-One verb per invocation.  A verb's handler imports what it calls and
+One verb per invocation.  :func:`run` builds only the parser of the verb
+it runs; when the first argument names no verb (``-h``, ``--version``, an
+unknown verb) it builds them all.  A verb's handler imports what it calls and
 returns its lines for stdout, or None for "not isomorphic"; :func:`run`
 prints them, or a one-line diagnostic on stderr, and makes the exit code:
 0 success (and isomorphic), 1 not isomorphic, 2 usage or input-format
@@ -106,19 +108,20 @@ def _cmd_attach(args):
 
 
 def _cmd_decompose(args):
-    from .codec import decode, encode
     from .factor import decompose
-    from .net import write_net
     from .polynomial import parse_poly, print_poly
     if (args.poly is None) == (args.net is None):
         raise _UsageError("give exactly one input: -p POLY or a net JSON file")
     if args.poly is not None:
         poly = parse_poly(args.poly)
     else:
+        from .codec import encode
         poly = encode(*_read_labeled_net(args.net))
     factors = decompose(poly)
     lines = [print_poly(factor) for factor in factors]
     if args.nets:
+        from .codec import decode
+        from .net import write_net
         lines.append("[" + ", ".join(write_net(*decode(factor)) for factor in factors) + "]")
     return lines
 
@@ -187,7 +190,7 @@ _VERBS = {
 _DESCRIPTIONS = {"decompose": "Factor a polynomial, or a net via its encoding, into primes."}
 
 
-def build_parser():
+def build_parser(verbs=_VERBS):
     parser = _Parser(
         prog="petripoly",
         description="Petri nets as polynomials over N[x,y]: "
@@ -195,7 +198,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
-    for verb, (summary, handler, arguments) in _VERBS.items():
+    for verb, (summary, handler, arguments) in verbs.items():
         p = sub.add_parser(verb, help=summary, description=_DESCRIPTIONS.get(verb))
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -205,7 +208,10 @@ def build_parser():
 
 def run(argv=None) -> int:
     """Parse arguments, run the verb, print its lines; return the exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = argv[0] if argv else None
+    parser = build_parser({verb: _VERBS[verb]} if verb in _VERBS else _VERBS)
     try:
         args = parser.parse_args(argv)
         lines = args.handler(args)

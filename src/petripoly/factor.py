@@ -27,9 +27,7 @@ components of the synchronization product.
 from itertools import count, islice
 from math import gcd, inf
 
-from .codec import decode, encode
 from .errors import PreconditionError
-from .net import PetriNet
 from .polynomial import ONE, Polynomial, nat_of_bits
 
 __all__ = [
@@ -215,17 +213,18 @@ def decompose(poly: Polynomial) -> list[Polynomial]:
     return primes
 
 
-def decompose_net(net: PetriNet) -> list[PetriNet]:
+def decompose_net(net: "PetriNet") -> list["PetriNet"]:
     """Prime component nets of ``net``: encode, factor, decode each part.
 
     The product of the results is isomorphic to ``net`` up to isolated
     conditions (which the polynomial never sees).
     """
+    from .codec import decode, encode  # here, so decompose alone never loads net.py
     labeling = {b: t for t, b in enumerate(sorted(net.conditions))}
     return [decode(factor)[0] for factor in decompose(encode(net, labeling))]
 
 
-def is_prime_net(net: PetriNet) -> bool:
+def is_prime_net(net: "PetriNet") -> bool:
     """Is the net a prime (undecomposable, non-unit) component?
 
     Nets without events encode to the unit polynomial and do not count,

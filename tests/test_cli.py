@@ -8,11 +8,14 @@ import time
 
 import pytest
 
-from petripoly import (Event, PetriNet, Polynomial, decode, encode, parse_poly, print_poly,
-                       read_net, write_net)
+from petripoly import (Event, PetriNet, Polynomial, decode, decompose_net, encode, parse_poly,
+                       print_poly, read_net, write_net)
+from petripoly import cli
 from petripoly.cli import run
 
 from helpers import child_interpreter, cycle_net, is_valid_witness, relabeled_copy, union
+
+VERBS = ("encode", "decode", "mul", "add", "product", "attach", "decompose", "iso", "canon", "dot", "validate")
 
 INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
@@ -396,6 +399,11 @@ def test_missing_file_exits_2(capsys):
 
 def test_unknown_verb_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: argument VERB: invalid choice: 'frobnicate' (choose from ")
+    for verb in VERBS:
+        assert f"'{verb}'" in err
 
 
 def test_version(capsys):
@@ -404,6 +412,8 @@ def test_version(capsys):
     assert run(["-h"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: petripoly ") and err == ""
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ") and line[4] != " "]
+    assert listed == list(VERBS)
 
 
 class _BrokenPipe(io.StringIO):
@@ -461,27 +471,59 @@ loaded = sorted(m for m in sys.modules if m.startswith("petripoly."))
 print(repr((code, out.getvalue(), err.getvalue(), loaded, "typing" in sys.modules)))
 """
 
-# verb -> (arguments from the relay, chain and fork files, modules it loads besides cli and errors)
+# case -> (argv from the relay, chain and fork files, modules it loads besides cli and errors)
 VERB_MODULES = {
-    "mul": (lambda r, c, f: ["-p", "x+1", "-p", "y+1"], {"polynomial"}),
-    "add": (lambda r, c, f: ["-p", "x+1", "-p", "y^2"], {"polynomial"}),
-    "product": (lambda r, c, f: [r, c], {"net"}),
-    "attach": (lambda r, c, f: [c, f], {"net"}),
-    "iso": (lambda r, c, f: [r, r], {"net", "search"}),
-    "dot": (lambda r, c, f: [r], {"net"}),
-    "validate": (lambda r, c, f: [r], {"net"}),
-    "encode": (lambda r, c, f: [r], {"codec", "net", "polynomial"}),
-    "decode": (lambda r, c, f: ["-p", "x*y^2 + y^2 + x + 1"], {"codec", "net", "polynomial"}),
-    "canon": (lambda r, c, f: [r], {"net", "polynomial", "search"}),
-    "decompose": (lambda r, c, f: ["--nets", r], {"codec", "factor", "net", "polynomial"}),
+    "mul": (lambda r, c, f: ["mul", "-p", "x+1", "-p", "y+1"], {"polynomial"}),
+    "add": (lambda r, c, f: ["add", "-p", "x+1", "-p", "y^2"], {"polynomial"}),
+    "product": (lambda r, c, f: ["product", r, c], {"net"}),
+    "attach": (lambda r, c, f: ["attach", c, f], {"net"}),
+    "iso": (lambda r, c, f: ["iso", r, r], {"net", "search"}),
+    "dot": (lambda r, c, f: ["dot", r], {"net"}),
+    "validate": (lambda r, c, f: ["validate", r], {"net"}),
+    "encode": (lambda r, c, f: ["encode", r], {"codec", "net", "polynomial"}),
+    "decode": (lambda r, c, f: ["decode", "-p", "x*y^2 + y^2 + x + 1"], {"codec", "net", "polynomial"}),
+    "canon": (lambda r, c, f: ["canon", r], {"net", "polynomial", "search"}),
+    "decompose -p": (lambda r, c, f: ["decompose", "-p", "x + x*y^2 + y^2 + 1"], {"factor", "polynomial"}),
+    "decompose net.json": (lambda r, c, f: ["decompose", r], {"codec", "factor", "net", "polynomial"}),
+    "decompose --nets": (lambda r, c, f: ["decompose", "--nets", r], {"codec", "factor", "net", "polynomial"}),
+}
+
+# verb -> arguments that the verb refuses with exit 2, before it opens any file
+USAGE_ERRORS = {
+    "encode": [],
+    "decode": ["-p"],
+    "mul": ["-p", "x", "--frob"],
+    "add": ["-p", "x+1"],
+    "product": ["left.json"],
+    "attach": [],
+    "decompose": ["-p", "1", "net.json"],
+    "iso": ["a.json", "b.json", "c.json"],
+    "canon": [],
+    "dot": ["a.json", "b.json"],
+    "validate": ["--nets", "net.json"],
 }
 
 
-@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def _run_with_every_verbs_parser(argv, capsys):
+    full = cli.build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda verbs: full)
+        return run(argv), *capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", VERBS)
 def test_each_verb_has_help(verb, capsys):
+    """run builds only the verb's own parser; its help and its usage errors
+    are byte for byte those of the parser with every verb."""
     assert run([verb, "-h"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith(f"usage: petripoly {verb} ") and err == ""
+    assert _run_with_every_verbs_parser([verb, "-h"], capsys) == (0, out, err)
+    argv = [verb, *USAGE_ERRORS[verb]]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert _run_with_every_verbs_parser(argv, capsys) == (2, out, err)
 
 
 def test_import_petripoly_loads_no_submodule_and_cli_only_errors():
@@ -491,10 +533,10 @@ def test_import_petripoly_loads_no_submodule_and_cli_only_errors():
         "['petripoly']", "['petripoly', 'petripoly.cli', 'petripoly.errors']"], proc.stderr
 
 
-@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
-def test_each_verb_loads_only_the_modules_it_calls(verb, relay_file, chain_file, fork_file, capsys):
-    arguments, modules = VERB_MODULES[verb]
-    argv = [verb, *arguments(relay_file, chain_file, fork_file)]
+@pytest.mark.parametrize("case", sorted(VERB_MODULES))
+def test_each_verb_loads_only_the_modules_it_calls(case, relay_file, chain_file, fork_file, capsys):
+    arguments, modules = VERB_MODULES[case]
+    argv = arguments(relay_file, chain_file, fork_file)
     proc = child_interpreter("-c", FRESH_RUN, *argv)
     assert proc.returncode == 0, proc.stderr
     code, out, err, loaded, typing_loaded = ast.literal_eval(proc.stdout.decode())
@@ -503,8 +545,32 @@ def test_each_verb_loads_only_the_modules_it_calls(verb, relay_file, chain_file,
     assert (code, out, err) == (run(argv), *capsys.readouterr())  # same as with every module loaded
 
 
-@pytest.mark.parametrize("argv", [["mul", "-p", "x+1", "-p", "y+1"], ["mul", "-p", "x^", "-p", "1"], []])
+def test_decompose_net_after_importing_factor_alone():
+    """factor.py loads codec and net only when decompose_net runs, so a fresh
+    interpreter that imports factor alone still decomposes the relay net."""
+    code = f"""
+import sys
+import petripoly.factor as factor
+loaded = sorted(m for m in sys.modules if m.startswith("petripoly."))
+from petripoly.net import read_net, write_net
+net, _ = read_net({RELAY_DOC!r})
+parts = factor.decompose_net(net)
+print(repr((loaded, [write_net(p) for p in parts], factor.is_prime_net(net), [factor.is_prime_net(p) for p in parts])))
+"""
+    proc = child_interpreter("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded, parts, prime, parts_prime = ast.literal_eval(proc.stdout.decode())
+    assert loaded == ["petripoly.errors", "petripoly.factor", "petripoly.polynomial"]
+    assert parts == [write_net(part) for part in decompose_net(read_net(RELAY_DOC)[0])]
+    assert len(parts) == 2 and not prime and parts_prime == [True, True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "-p", "x+1", "-p", "y+1"], ["mul", "-p", "x^", "-p", "1"], [],
+    ["decompose", "-p", "x + x*y^2 + y^2 + 1"], ["frobnicate"],
+])
 def test_module_entry_point_prints_what_run_prints(argv, capsys):
+    """Under -m, run reads its verb from sys.argv."""
     proc = child_interpreter("-m", "petripoly.cli", *argv)
     code = run(argv)
     out, err = capsys.readouterr()
