@@ -96,7 +96,7 @@ def _rho_factor(n, budget):
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
-        if 1 < g < n and n % g == 0:
+        if 1 < g < n:
             return g, budget
 
 

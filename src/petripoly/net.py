@@ -114,7 +114,6 @@ class _Table(dict):
     """key -> value(key), computed on the key's first lookup only."""
 
     def __init__(self, value):
-        super().__init__()
         self.value = value
 
     def __missing__(self, key):

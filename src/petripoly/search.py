@@ -64,7 +64,7 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     from a frontier heap by rarest signature, then first member id, each
     component from its rarest class; a class goes onto an unused class of
     equal signature, one that shares a group with its ordered neighbour's
-    image where the signature is shared, members paired in id order.  Each
+    image unless it starts a component, members paired in id order.  Each
     distinct (pre, post) pair of ``n1`` is checked once its conditions are
     mapped, by the number of events its image carries in ``n2``.  Events pair
     up in group order.
@@ -85,9 +85,8 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
 
     def connected(keys, members, sigs):
         """Class indices in connected order, each with the step of an ordered
-        class it shares a group with (None where a component starts or the
-        signature is unique); the classes in each group; the sorted sizes of
-        the components."""
+        class it shares a group with (None where a component starts); the
+        classes in each group; the sorted sizes of the components."""
         in_group = defaultdict(list)
         for c, key in enumerate(keys):
             for g, _, _ in key:
@@ -107,7 +106,7 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
                         if d not in reached:
                             reached[d] = k
                             heappush(frontier, at[d])
-                order.append((c, reached[c] if count[sigs[c]] > 1 else None))
+                order.append((c, reached[c]))
             sizes.append(size)
         return order, sorted(sizes), in_group
 
@@ -118,9 +117,8 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     alike = defaultdict(list)  # signature -> n2's classes
     for d, sig in enumerate(sig2):
         alike[sig].append(d)
-    # (image d, class c of n1) -> n2's classes that share a group with d and have c's signature
-    near = _Table(lambda dc: sorted({e for g, _, _ in keys2[dc[0]] for e in in_group2[g]
-                                     if sig2[e] == sig1[dc[1]]}))
+    # image d -> n2's classes that share a group with d, any signature
+    near = _Table(lambda d: sorted({e for g, _, _ in keys2[d] for e in in_group2[g]}))
     step = {b: k for k, (c, _) in enumerate(order) for b in members1[c]}
     due = defaultdict(list)  # k -> pairs of n1 whose last condition is in order[k]
     for pair in groups1:
@@ -136,8 +134,8 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
         if k == len(order):
             yield True  # the driver stops here and never resumes this step
         c, parent = order[k]
-        for d in alike[sig1[c]] if parent is None else near[chosen[parent], c]:
-            if d not in used:
+        for d in alike[sig1[c]] if parent is None else near[chosen[parent]]:
+            if d not in used and sig2[d] == sig1[c]:
                 beta.update(zip(members1[c], members2[d]))  # deeper steps reassign before use
                 used.add(d)
                 chosen[k] = d

@@ -1,4 +1,5 @@
-"""Shared generators, independent oracles and a child interpreter.
+"""Shared generators, independent oracles, a search-node counter and a
+child interpreter.
 
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
@@ -34,6 +35,7 @@ from petripoly import (
     encode,
     nat_of_bits,
     product,
+    search,
 )
 
 
@@ -468,6 +470,31 @@ def rename_conditions(net, mapping):
         [Event(e.id, {mapping[b] for b in e.pre}, {mapping[b] for b in e.post})
          for e in net.events],
     )
+
+
+# ------------------------------------------------------------ search nodes
+
+def search_nodes(fn, *args):
+    """``fn(*args)`` and the number of steps it pushed onto the stack of
+    ``search._depth_first``, the root not counted.  For the call,
+    ``_depth_first`` is patched to run each step through a wrapper that
+    counts its child steps and wraps them in turn."""
+    pushed = 0
+
+    def counted(step):
+        nonlocal pushed
+        for child in step:
+            if child is not True:
+                pushed += 1
+                child = counted(child)
+            yield child
+
+    depth_first = search._depth_first
+    search._depth_first = lambda root: depth_first(counted(root))
+    try:
+        return fn(*args), pushed
+    finally:
+        search._depth_first = depth_first
 
 
 # ---------------------------------------------------- child interpreters

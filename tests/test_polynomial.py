@@ -282,6 +282,22 @@ def test_parse_print_roundtrip(p):
     assert parse_poly(print_poly(p)) == p
 
 
+@given(polys)
+def test_repr_evaluates_back(p):
+    assert repr(p) == f"parse_poly({str(p)!r})"
+    assert eval(repr(p), {"parse_poly": parse_poly}) == p
+
+
+def test_other_types_are_not_polynomials():
+    """Each operator returns NotImplemented for a non-polynomial, so Python
+    raises TypeError, and == falls back to identity."""
+    p = parse_poly("x*y + 1")
+    for operate in (lambda: p + 1, lambda: p * "x", lambda: p < 1):
+        with pytest.raises(TypeError):
+            operate()
+    assert (p == "x") is False
+
+
 # ------------------------------------------------------------------ order
 
 def test_compare_reflexive():
