@@ -10,7 +10,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_MODULES = ("errors", "polynomial", "net", "codec", "search", "factor")
+_MODULES = ("errors", "polynomial", "net", "compose", "codec", "search", "factor")
 
 
 def _load():  # binds each module's __all__ here, so later lookups are plain hits

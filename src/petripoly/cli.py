@@ -93,12 +93,14 @@ def _two_nets(args):
 
 
 def _cmd_product(args):
-    from .net import product, write_net
+    from .compose import product
+    from .net import write_net
     return [write_net(product(*_two_nets(args)))]
 
 
 def _cmd_attach(args):
-    from .net import attach, write_net
+    from .compose import attach
+    from .net import write_net
     n1, l1 = _read_net_file(args.left)
     n2, l2 = _read_net_file(args.right)
     if l1 is None or l2 is None:

@@ -6,13 +6,13 @@ import warnings
 from pathlib import Path
 
 import petripoly
-from petripoly import codec, errors, factor, net, polynomial, search
+from petripoly import codec, compose, errors, factor, net, polynomial, search
 
 from helpers import child_interpreter
 
 
 def test_package_exports_each_modules_all():
-    names = ["__version__"] + [name for module in (errors, polynomial, net, codec, search, factor)
+    names = ["__version__"] + [name for module in (errors, polynomial, net, compose, codec, search, factor)
                                for name in module.__all__]
     assert petripoly.__all__ == names
     assert len(set(names)) == len(names)
@@ -43,6 +43,13 @@ def test_fresh_interpreter_sees_the_same_names():
         assert _first_statements(
             f"import petripoly\ntry: petripoly.{name}\nexcept AttributeError as e: print(repr(str(e)))"
         ) == f"module 'petripoly' has no attribute '{name}'"
+
+
+def test_reading_a_net_loads_only_errors_and_net():
+    assert _first_statements(
+        "import sys\nfrom petripoly.net import read_net\n"
+        "print(sorted(m for m in sys.modules if m.startswith('petripoly.')))"
+    ) == ["petripoly.errors", "petripoly.net"]
 
 
 def test_every_source_file_compiles_with_warnings_as_errors():

@@ -475,8 +475,8 @@ print(repr((code, out.getvalue(), err.getvalue(), loaded, "typing" in sys.module
 VERB_MODULES = {
     "mul": (lambda r, c, f: ["mul", "-p", "x+1", "-p", "y+1"], {"polynomial"}),
     "add": (lambda r, c, f: ["add", "-p", "x+1", "-p", "y^2"], {"polynomial"}),
-    "product": (lambda r, c, f: ["product", r, c], {"net"}),
-    "attach": (lambda r, c, f: ["attach", c, f], {"net"}),
+    "product": (lambda r, c, f: ["product", r, c], {"compose", "net"}),
+    "attach": (lambda r, c, f: ["attach", c, f], {"compose", "net"}),
     "iso": (lambda r, c, f: ["iso", r, r], {"net", "search"}),
     "dot": (lambda r, c, f: ["dot", r], {"net"}),
     "validate": (lambda r, c, f: ["validate", r], {"net"}),

@@ -2,7 +2,7 @@ import json
 import random
 import time
 from collections import Counter, defaultdict
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from petripoly import (
     validate,
     write_net,
 )
+from petripoly import net as net_module
 
 from helpers import (
     attach_oracle,
@@ -141,6 +142,44 @@ def test_net_keeps_frozenset_and_tuple_and_coerces_other_iterables():
         net.events = ()
     moved = replace(net, events=[])
     assert moved == PetriNet(conditions) and moved.conditions is conditions
+
+
+def test_event_and_net_keep_the_dataclass_protocol():
+    """What a dataclass gives besides repr, == and hash, which the two
+    classes write themselves, and what those three must keep of it."""
+    event = Event("e", {"a"}, {"b"})
+    net = PetriNet({"a", "b"}, [event])
+    assert [f.name for f in fields(Event)] == ["id", "pre", "post"]
+    assert [f.name for f in fields(net)] == ["conditions", "events"]
+    assert astuple(event) == ("e", {"a"}, {"b"})
+    assert astuple(net) == ({"a", "b"}, (("e", {"a"}, {"b"}),))
+    match net:
+        case PetriNet(conditions, (Event(e, pre, post),)):
+            assert (conditions, e, pre, post) == ({"a", "b"}, "e", {"a"}, {"b"})
+        case _:
+            pytest.fail("no match by __match_args__")
+    for obj, name in ((event, "pre"), (net, "events")):
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    assert (Event("e") == ("e", frozenset(), frozenset())) is False
+    assert (PetriNet() == (frozenset(), ())) is False
+
+    class Tagged(Event):
+        pass
+
+    class Sub(PetriNet):
+        pass
+
+    assert repr(Tagged("e")) == f"{Tagged.__qualname__}(id='e', pre=frozenset(), post=frozenset())"
+    assert repr(Sub()).startswith(f"{Sub.__qualname__}(conditions=")
+    assert Tagged("e") != Event("e") and Sub() != PetriNet()
+
+
+@pytest.mark.parametrize("cls", [Event, PetriNet])
+def test_repr_eq_and_hash_are_written_in_net_py(cls):
+    """No generated source: the three methods are the ones net.py spells out."""
+    for name in ("__repr__", "__eq__", "__hash__"):
+        assert getattr(cls, name).__code__.co_filename == net_module.__file__, name
 
 
 # --------------------------------------------------------------- validate
