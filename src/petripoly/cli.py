@@ -6,8 +6,9 @@ unknown verb) it builds them all.  A verb's handler imports what it calls and
 returns its lines for stdout, or None for "not isomorphic"; :func:`run`
 prints them, or a one-line diagnostic on stderr, and makes the exit code:
 0 success (and isomorphic), 1 not isomorphic, 2 usage or input-format
-errors, 3 precondition violations.  A note, warning or diagnostic that
-stderr cannot take is dropped; the result and the exit code stand.
+errors, 3 precondition violations and running out of memory.  A note,
+warning or diagnostic that stderr cannot take is dropped; the result and
+the exit code stand.
 """
 
 import argparse
@@ -226,6 +227,8 @@ def run(argv=None) -> int:
         message, code = exc, 2
     except PreconditionError as exc:
         message, code = exc, 3
+    except MemoryError:  # the frames that held the memory are gone once this clause ends
+        message, code = "out of memory", 3
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
     _note(f"error: {message}")

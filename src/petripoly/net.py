@@ -13,7 +13,6 @@ not inside it.
 """
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .errors import NetStructureError, ParseError, PreconditionError
@@ -33,9 +32,12 @@ __all__ = [
 Labeling = dict  # ConditionId -> nonnegative int, injective
 
 
-# repr, == and hash are written out, so building the classes at import runs only
-# the frozen __setattr__ and __delattr__ through exec.
-@dataclass(frozen=True, init=False, repr=False, eq=False)
+def _frozen(self, name, *value):
+    """__setattr__ and __delattr__ of both classes."""
+    from dataclasses import FrozenInstanceError  # on this error path only
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Event:
     """One event: an id plus its pre- and post-condition sets.
 
@@ -43,14 +45,16 @@ class Event:
     itself, not copied, so events built from the same sets share them.
     """
 
-    id: str
-    pre: frozenset
-    post: frozenset
+    __slots__ = __match_args__ = ("id", "pre", "post")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, id: str, pre=frozenset(), post=frozenset()):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "pre", frozenset(pre))
-        object.__setattr__(self, "post", frozenset(post))
+        _set_id(self, id)
+        _set_pre(self, frozenset(pre))
+        _set_post(self, frozenset(post))
+
+    def __reduce__(self):
+        return type(self), (self.id, self.pre, self.post)
 
     def __repr__(self):
         return f"{type(self).__qualname__}(id={self.id!r}, pre={self.pre!r}, post={self.post!r})"
@@ -64,7 +68,9 @@ class Event:
         return hash((self.id, self.pre, self.post))
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
+_set_id, _set_pre, _set_post = Event.id.__set__, Event.pre.__set__, Event.post.__set__
+
+
 class PetriNet:
     """A finite net: condition ids and a sequence of events.
 
@@ -74,8 +80,8 @@ class PetriNet:
     conditions and a tuple of events are kept as given.
     """
 
-    conditions: frozenset
-    events: tuple
+    __slots__ = __match_args__ = ("conditions", "events")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, conditions=frozenset(), events=()):
         conditions, events = frozenset(conditions), tuple(events)
@@ -91,8 +97,11 @@ class PetriNet:
                 raise NetStructureError(
                     f"event {event.id!r} references unknown condition {unknown!r}"
                 )
-        object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "events", events)
+        _set_conditions(self, conditions)
+        _set_events(self, events)
+
+    def __reduce__(self):
+        return type(self), (self.conditions, self.events)
 
     def __repr__(self):
         return f"{type(self).__qualname__}(conditions={self.conditions!r}, events={self.events!r})"
@@ -104,6 +113,9 @@ class PetriNet:
 
     def __hash__(self):
         return hash((self.conditions, self.events))
+
+
+_set_conditions, _set_events = PetriNet.conditions.__set__, PetriNet.events.__set__
 
 
 def validate(net: PetriNet) -> list[str]:

@@ -360,6 +360,23 @@ def test_canon_with_many_isolated_conditions(tmp_path, capsys, k):
     assert capsys.readouterr().out == "x^2*y^16 + x^16*y + x^4*y^8 + x^8*y^2 + x*y^4 + 1\n"
 
 
+# bytes of address space for a child: about 20 times the 12 MiB that a bare
+# CPython 3.11 interpreter maps
+MEMORY_CAP = 256 << 20
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path):
+    """canon of a 1500-cycle asks for more memory than the cap allows; the
+    MemoryError ends in one diagnostic and exit 3, not a traceback."""
+    path = tmp_path / "cycle.json"
+    path.write_text(write_net(cycle_net(1500, "c")))
+    code = ("import resource; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP})); "
+            "from petripoly.cli import main; main()")
+    proc = child_interpreter("-c", code, "canon", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", b"error: out of memory\n")
+
+
 def test_dot_verb(relay_file, capsys):
     assert run(["dot", relay_file]) == 0
     out = capsys.readouterr().out
@@ -563,6 +580,21 @@ print(repr((loaded, [write_net(p) for p in parts], factor.is_prime_net(net), [fa
     assert loaded == ["petripoly.errors", "petripoly.factor", "petripoly.polynomial"]
     assert parts == [write_net(part) for part in decompose_net(read_net(RELAY_DOC)[0])]
     assert len(parts) == 2 and not prime and parts_prime == [True, True]
+
+
+def test_encode_and_every_module_load_neither_dataclasses_nor_inspect(relay_file):
+    """The net classes are written without dataclasses, whose import
+    pulls in inspect, ast, dis and tokenize."""
+    code = """
+import sys
+from petripoly.cli import run
+code = run(sys.argv[1:])
+import petripoly.compose, petripoly.codec, petripoly.search, petripoly.factor
+print(repr((code, sorted({"dataclasses", "inspect"} & set(sys.modules)))))
+"""
+    proc = child_interpreter("-c", code, "encode", relay_file)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "(0, [])"
 
 
 @pytest.mark.parametrize("argv", [
