@@ -2,17 +2,31 @@
 
 ``are_isomorphic`` decides whether two nets are isomorphic and
 ``canonical_poly`` finds a net's least encoding.  Both read a net as its
-events grouped by (pre, post) pair plus its twin classes, and both run
-their backtracking on one generator-stack driver.
+events grouped by (pre, post) pair plus its twin classes, both run their
+backtracking on one generator-stack driver, and both call one class
+matcher: ``are_isomorphic`` to map one net onto another, ``canonical_poly``
+to find automorphisms among its root children.  One work budget caps each
+call.
 """
 
 from collections import Counter, defaultdict
 from heapq import heappop, heappush
+from operator import eq, itemgetter
 
+from .errors import PreconditionError
 from .net import PetriNet, _Table
 
 __all__ = ["are_isomorphic", "canonical_poly"]
 _Polynomial = None  # petripoly.polynomial.Polynomial, bound by canonical_poly
+# Work per call of either search: the entries that canonical_poly's children
+# copy and the images of (pre, post) pairs that _match builds.  sparse/12/1,
+# the costliest net of the tests, takes 2.5 million and sparse/20/0 14.4
+# million; a 1500-cycle, whose first descent keeps about 16 B per unit,
+# stops at about 380 MiB.
+_WORK = 3 << 23
+_OVER = f"search work exceeds its budget of {_WORK} entries and images"
+_first = itemgetter(0)
+_IDLE = frozenset(), frozenset()  # the (pre, post) pair of the idle event
 
 
 def _twin_classes(net):
@@ -51,82 +65,92 @@ def _depth_first(root):
     return False
 
 
-def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
-    """Search for an isomorphism; return witness maps or ``None``.
+def _side(groups, keys, members):
+    """What the class matcher reads of a net: its ``_twin_classes``, each
+    class's signature (its size and the sorted (|pre|, |post|, events, in
+    pre, in post) of its groups), and the classes in each group."""
+    shapes = [(len(pre), len(post), len(ids)) for (pre, post), ids in groups.items()]
+    sigs = [(len(m), tuple(sorted(shapes[g] + (p, q) for g, p, q in key)))
+            for key, m in zip(keys, members)]
+    in_group = defaultdict(list)
+    for c, key in enumerate(keys):
+        for g, _, _ in key:
+            in_group[g].append(c)
+    return groups, keys, members, sigs, in_group
 
-    A witness is a pair (beta, eta): a condition bijection and an event
-    bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.  The
-    nets' twin classes must agree in signature (size and the sorted (|pre|,
-    |post|, events, in pre, in post) of its groups), and then their connected
-    components in size (conditions linked through shared (pre, post) groups;
-    the isolated ones form one).  Backtracking maps ``n1``'s classes
-    in connected order, each next one sharing a group with one mapped before,
-    from a frontier heap by rarest signature, then first member id, each
-    component from its rarest class; a class goes onto an unused class of
+
+def _connected(side, count, first=()):
+    """Class indices in connected order, each with the step of an ordered
+    class it shares a group with (None where a component starts), and the
+    sorted sizes of the components (conditions linked through shared (pre,
+    post) groups; the isolated ones form one).  A component starts from the
+    class in first, else from its rarest class by count, then first member
+    id; each next class comes from a frontier heap in that order."""
+    _, keys, members, sigs, in_group = side[:5]
+    rank = sorted(range(len(keys)), key=lambda c: (count[sigs[c]], members[c][0]))
+    at = {c: r for r, c in enumerate(rank)}
+    order, sizes, reached, pending = [], [], {}, dict(in_group)  # pending: groups not yet walked
+    for start in (*first, *rank):
+        if start in reached:
+            continue
+        reached[start], frontier, size = None, [at[start]], 0
+        while frontier:
+            c = rank[heappop(frontier)]
+            size, k = size + len(members[c]), len(order)
+            for g, _, _ in keys[c]:
+                for d in pending.pop(g, ()):
+                    if d not in reached:
+                        reached[d] = k
+                        heappush(frontier, at[d])
+            order.append((c, reached[c]))
+        sizes.append(size)
+    return order, sorted(sizes)
+
+
+def _match(side1, side2, count, work, pin=None):
+    """An isomorphism from one net onto another as a witness (beta, eta), or None.
+
+    The class matcher behind both searches.  side1 and side2 are the nets'
+    ``_side``s, whose signatures both count to ``count``; with the same side
+    twice, it looks for an automorphism.  When every class of the first net
+    has a signature of its own, the class map is forced and is checked as it
+    stands.  Otherwise the component sizes must agree, and backtracking maps
+    the first net's classes in connected order, each onto an unused class of
     equal signature, one that shares a group with its ordered neighbour's
-    image unless it starts a component, members paired in id order.  Each
-    distinct (pre, post) pair of ``n1`` is checked once its conditions are
-    mapped, by the number of events its image carries in ``n2``.  Events pair
-    up in group order.
+    image unless it starts a component, members paired in id order.  With pin (c, d), the first
+    component starts from c, which goes onto d alone.  Each distinct (pre,
+    post) pair of the first net is checked once its conditions are mapped,
+    by the number of events its image carries in the second; the images
+    built count in work[0], and past _WORK raise PreconditionError.  Events
+    pair up in group order.
     """
-    if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
-        return None
-    (groups1, keys1, members1), (groups2, keys2, members2) = _twin_classes(n1), _twin_classes(n2)
-
-    def signatures(groups, keys, members):
-        shapes = [(len(pre), len(post), len(ids)) for (pre, post), ids in groups.items()]
-        return [(len(m), tuple(sorted(shapes[g] + (p, q) for g, p, q in key)))
-                for key, m in zip(keys, members)]
-
-    sig1, sig2 = signatures(groups1, keys1, members1), signatures(groups2, keys2, members2)
-    count = Counter(sig1)
-    if count != Counter(sig2):
-        return None
-
-    def connected(keys, members, sigs):
-        """Class indices in connected order, each with the step of an ordered
-        class it shares a group with (None where a component starts); the
-        classes in each group; the sorted sizes of the components."""
-        in_group = defaultdict(list)
-        for c, key in enumerate(keys):
-            for g, _, _ in key:
-                in_group[g].append(c)
-        rank = sorted(range(len(keys)), key=lambda c: (count[sigs[c]], members[c][0]))
-        at = {c: r for r, c in enumerate(rank)}
-        order, sizes, reached, pending = [], [], {}, dict(in_group)  # pending: groups not yet walked
-        for start in rank:
-            if start in reached:
-                continue
-            reached[start], frontier, size = None, [at[start]], 0
-            while frontier:
-                c = rank[heappop(frontier)]
-                size, k = size + len(members[c]), len(order)
-                for g, _, _ in keys[c]:
-                    for d in pending.pop(g, ()):
-                        if d not in reached:
-                            reached[d] = k
-                            heappush(frontier, at[d])
-                order.append((c, reached[c]))
-            sizes.append(size)
-        return order, sorted(sizes), in_group
-
-    order, sizes1, _ = connected(keys1, members1, sig1)
-    _, sizes2, in_group2 = connected(keys2, members2, sig2)
-    if sizes1 != sizes2:
-        return None
-    alike = defaultdict(list)  # signature -> n2's classes
+    groups1, keys1, members1, sig1 = side1[:4]
+    groups2, keys2, members2, sig2, in_group2 = side2
+    beta, images = {}, {}  # images: pair of the first net -> its image at its last check
+    if pin is None and len(count) == len(sig1):  # forced: the root checks every pair
+        image = dict(zip(sig2, members2))
+        for m, sig in zip(members1, sig1):
+            beta.update(zip(m, image[sig]))
+        order, due = [], {-1: list(groups1)}
+    else:
+        order, sizes = _connected(side1, count, pin[:1] if pin else ())
+        if side2 is not side1 and sizes != _connected(side2, count)[1]:
+            return None
+        step = {b: k for k, (c, _) in enumerate(order) for b in members1[c]}
+        due = defaultdict(list)  # k -> pairs whose last condition is in order[k]
+        for pair in groups1:
+            due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
+    alike = defaultdict(list)  # signature -> the second net's classes
     for d, sig in enumerate(sig2):
         alike[sig].append(d)
-    # image d -> n2's classes that share a group with d, any signature
+    # the second net's classes that share a group with one of its classes, any signature
     near = _Table(lambda d: sorted({e for g, _, _ in keys2[d] for e in in_group2[g]}))
-    step = {b: k for k, (c, _) in enumerate(order) for b in members1[c]}
-    due = defaultdict(list)  # k -> pairs of n1 whose last condition is in order[k]
-    for pair in groups1:
-        due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
-    beta, used, chosen = {}, set(), [None] * len(order)  # used, chosen: n2's mapped classes
-    images, get = {}, beta.__getitem__  # images: pair of n1 -> its image at its last check
+    used, chosen, get = set(), [None] * len(order), beta.__getitem__  # of the second net's classes
 
     def extend(k):
+        work[0] += len(due[k - 1])
+        if work[0] > _WORK:
+            raise PreconditionError(_OVER)
         for p in due[k - 1]:
             images[p] = found = frozenset(map(get, p[0])), frozenset(map(get, p[1]))
             if len(groups2.get(found, ())) != len(groups1[p]):
@@ -142,10 +166,73 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
                 yield extend(k + 1)
                 used.discard(d)
 
-    if not _depth_first(extend(0)):
+    if pin:  # the pairs without conditions are checked with those of the pinned class
+        due[0] += due.pop(-1, [])
+        beta.update(zip(members1[pin[0]], members2[pin[1]]))
+        used.add(pin[1])
+        chosen[0] = pin[1]
+    if not _depth_first(extend(1 if pin else 0)):
         return None
     eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[images[pair]])}
     return beta, eta
+
+
+def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
+    """Search for an isomorphism; return witness maps or ``None``.
+
+    A witness is a pair (beta, eta): a condition bijection and an event
+    bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.  The
+    nets' twin classes must agree in signature, and then ``_match`` maps
+    one net's classes onto the other's.
+    """
+    if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
+        return None
+    a, b = _side(*_twin_classes(n1)), _side(*_twin_classes(n2))
+    count = Counter(a[3])
+    if count != Counter(b[3]):
+        return None
+    return _match(a, b, count, [0])
+
+
+def _orbits(branch, classes, work):
+    """The root children of ``canonical_poly``, less each one whose class
+    lies in the orbit of a class kept before it.  An automorphism that maps
+    class e onto class k maps the labelings that give the top label to e
+    one to one onto those that give it to k, with equal encodings, so k's
+    subtree holds nothing better than e's.  Automorphic children have equal
+    bounds, so k is tested only against the classes kept at its bound, by
+    ``_match`` pinned to the pair, and each automorphism found joins orbits
+    in a union-find of classes.  branch: (bound, class, entries) by bound;
+    classes: the net's ``_twin_classes``."""
+    bounds = list(map(_first, branch))
+    if not any(map(eq, bounds, bounds[1:])):
+        return branch
+    side = _side(*classes)
+    members, sigs = side[2:4]
+    count, orbit = Counter(sigs), list(range(len(sigs)))
+    twin_of = {b: c for c, m in enumerate(members) for b in m}
+
+    def find(c):
+        while orbit[c] != c:
+            c = orbit[c]
+        return c
+
+    def joined(e, k):
+        found = sigs[e] == sigs[k] and _match(side, side, count, work, (e, k))
+        for b, image in found[0].items() if found else ():
+            orbit[find(twin_of[b])] = find(twin_of[image])
+        return bool(found)
+
+    kept, level = [], None
+    for child in branch:
+        bound, k, _ = child
+        if bound != level:
+            same, level = [], bound  # the classes kept at this bound
+        elif any(find(e) == find(k) for e in same) or any(joined(e, k) for e in same):
+            continue
+        same.append(k)
+        kept.append(child)
+    return kept
 
 
 def canonical_poly(net: PetriNet) -> "Polynomial":
@@ -167,24 +254,30 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
     later leaf may still cut it.  A node gives hi to one condition, unless a
     best key exists, two or more children are kept, and fewer of those that
     give lo (bounded from lo + 1 up) would be; so the first descent labels from
-    the top.  Only one member of each twin class (``_twin_classes``) is tried.
+    the top.  Only one member of each twin class (``_twin_classes``) is tried,
+    and at the root only one class of each orbit of the automorphisms that
+    ``_orbits`` finds.  The entries copied count toward the work budget, and
+    past it raise PreconditionError.
     """
     global _Polynomial
     if _Polynomial is None:  # bound on the first call: iso never loads polynomial.py
         from .polynomial import Polynomial as _Polynomial
     groups, effects, twins = _twin_classes(net)
-    groups[frozenset(), frozenset()].append(None)  # the implicit idle event; no twin sits in it
+    idle = groups[_IDLE]  # made if missing; the implicit idle event joins it
     left = [len(members) for members in twins]
     free, free_pre = [len(pre | post) for pre, post in groups], [len(pre) for pre, _ in groups]
     w = max(len(net.conditions), len(net.events).bit_length()) + 1  # i, coeff < 2^w
-    entries = [((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) + len(ids)
+    entries = [((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) + len(ids) + (ids is idle)
                for u, u_pre, ids in zip(free, free_pre, groups.values())]
-    best = None
+    best, top, work, size, classes = None, len(net.conditions) - 1, [0], len(entries), len(left)
 
     def children(label, lo, entries, most=0):
         """Per class with a free member, sorted: (bound, class, entries) once it takes label and
         the rest take labels from lo, kept only while no best key exists or the bound is below
         it; None as soon as most (if not 0) are kept."""
+        work[0] += size * (classes - left.count(0))  # the copies below, before they exist
+        if work[0] > _WORK:
+            raise PreconditionError(_OVER)
         bit, unit, out = 1 << label, 1 << lo, []
         for k, count in enumerate(left):
             if count:
@@ -200,12 +293,6 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
         out.sort()  # by bound, then class: the classes differ, so entries are never compared
         return out
 
-    def take(k, step):  # a member of class k leaves (-1) or rejoins (1) the unlabeled
-        left[k] += step
-        for g, p, _ in effects[k]:
-            free[g] += step
-            free_pre[g] += p and step
-
     def search(lo, hi, entries, key):
         nonlocal best
         if lo > hi:
@@ -217,12 +304,20 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
                        for e, u, u_pre in zip(entries, free, free_pre)]
             if (low := children(lo, lo + 1, shifted, len(branch))) is not None:
                 branch, lo_k, hi_k = low, lo + 1, hi
+        elif hi - lo == top:  # the root
+            branch = _orbits(branch, (groups, effects, twins), work)
         for key_k, k, entries_k in branch:
             if best is not None and key_k >= best:
                 break
-            take(k, -1)
+            left[k] -= 1  # a member of class k leaves the unlabeled, and rejoins them after
+            for g, p, _ in effects[k]:
+                free[g] -= 1
+                free_pre[g] -= p
             yield search(lo_k, hi_k, entries_k, key_k)
-            take(k, 1)
+            left[k] += 1
+            for g, p, _ in effects[k]:
+                free[g] += 1
+                free_pre[g] += p
 
     _depth_first(search(0, len(net.conditions) - 1, entries, sorted(entries, reverse=True)))
     mask = (1 << w) - 1  # at a leaf every u is 0: each entry is its term; groups differ in (i, j)

@@ -377,6 +377,25 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", b"error: out of memory\n")
 
 
+def test_canon_beyond_the_work_budget_exits_3_with_one_line(tmp_path):
+    """canon of a 1500-cycle copies about 2.25 million entries per search
+    node; its first descent keeps them all, so the search work budget stops
+    it within 30 s at a peak RSS under 512 MiB (about 5 s and 380 MiB on a
+    2-vCPU VM), before the 1 GiB address-space cap that guards the test."""
+    path = tmp_path / "cycle.json"
+    path.write_text(write_net(cycle_net(1500, "c")))
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from petripoly.cli import run; code = run(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+    start = time.perf_counter()
+    proc = child_interpreter("-c", code, "canon", str(path))
+    assert time.perf_counter() - start < 30
+    assert (proc.returncode, proc.stderr) == (3, b"error: search work exceeds its budget of "
+                                                 b"25165824 entries and images\n")
+    assert int(proc.stdout) < 512 << 10  # KiB
+
+
 def test_dot_verb(relay_file, capsys):
     assert run(["dot", relay_file]) == 0
     out = capsys.readouterr().out

@@ -34,6 +34,7 @@ from helpers import (
     random_poly_terms,
     relabeled_copy,
     rename_conditions,
+    search_nodes,
     sparse_net,
     union,
 )
@@ -261,7 +262,8 @@ def test_canonical_poly_at_the_packed_fields_limits():
 
 
 def test_canonical_poly_beyond_the_sweep():
-    """Nets of 9 to 25 conditions, where the n! sweep is out of reach."""
+    """Nets of 9 to 25 conditions, where the n! sweep is out of reach.  Each
+    net's pushes onto the search driver's stack are bounded beside its time."""
     rng = random.Random(73)
     nets = [union(cycle_net(5, "c"), PetriNet([f"i{k}" for k in range(20)]))]
     while len(nets) < 4:
@@ -270,10 +272,11 @@ def test_canonical_poly_beyond_the_sweep():
             nets.append(net)
     # the benchmark's sparse shape, 1-2 pre and 1-2 post conditions per event
     sparse = [sparse_net(random.Random(f"sparse/12/{k}"), 12, 12) for k in range(3)]
-    for net in nets + sparse:
+    for net, most in zip(nets + sparse, [47, 42, 5957, 154, 124, 26280, 173]):
         start = time.perf_counter()
-        canon = canonical_poly(net)
+        canon, pushed = search_nodes(canonical_poly, net)
         assert time.perf_counter() - start < 60
+        assert pushed <= most
         if net is sparse[1]:  # the slowest known 12-condition net: 26 281 search nodes
             assert print_poly(canon) == (
                 "x^2048*y^3 + x^4*y^1040 + x^1024*y^17 + x^16*y^1024 + x^1028*y^10"
@@ -324,13 +327,15 @@ def test_canonical_poly_of_deep_pre_blocks():
 def test_decoded_canonical_cycle_is_isomorphic_to_the_cycle():
     """The net decoded from C16's canonical polynomial, passed first.  Both
     nets name their conditions c0 ... c15, and a search that mapped them in
-    string order (c0, c1, c10, ...) took 8 s to find the witness."""
+    string order (c0, c1, c10, ...) took 8 s to find the witness.  The
+    pushes are bounded beside the time."""
     cycle = cycle_net(16, "c")
     decoded, _ = decode(canonical_poly(cycle))
     start = time.perf_counter()
-    witness = are_isomorphic(decoded, cycle)
+    witness, pushed = search_nodes(are_isomorphic, decoded, cycle)
     assert time.perf_counter() - start < 1
     assert witness is not None and is_valid_witness(decoded, cycle, *witness)
+    assert pushed <= 17  # one per condition and one more
 
 
 # -------------------------------------------------------------- round trip

@@ -43,6 +43,7 @@ from helpers import (
     random_net,
     relabeled_copy,
     rename_conditions,
+    search_nodes,
     twin_block_net,
     union,
     winskel_morphisms,
@@ -517,14 +518,17 @@ def test_cycle_against_two_half_cycles(n):
     the pair, and on the copy each next condition has at most two candidates:
     the unused neighbours of its mapped neighbour's image.  The search takes
     one step per condition, so at n = 1500 it runs deeper than the
-    interpreter's recursion limit."""
+    interpreter's recursion limit.  The pushes are bounded beside the time,
+    so that more work fails however fast the host is."""
     start = time.perf_counter()
     cycle = cycle_net(n, "c")
     halves = [cycle_net(n // 2, prefix) for prefix in "ab"]
-    assert are_isomorphic(cycle, union(*halves)) is None
+    assert search_nodes(are_isomorphic, cycle, union(*halves)) == (None, 0)
     copy = relabeled_copy(random.Random(n), cycle)
-    assert is_valid_witness(cycle, copy, *are_isomorphic(cycle, copy))
+    witness, pushed = search_nodes(are_isomorphic, cycle, copy)
+    assert is_valid_witness(cycle, copy, *witness)
     assert time.perf_counter() - start < 2
+    assert pushed <= n + 1
 
 
 def filled_and_drained(ids):
@@ -538,15 +542,18 @@ def filled_and_drained(ids):
 def test_twin_classes_are_mapped_whole(n, twins, k):
     """Cn plus k twins against 2xC(n/2) plus k twins.  The twins sort
     first, so a search that tried every order of their class would take
-    k! branches before the cycles refute the pair."""
+    k! branches before the cycles refute the pair.  The copy takes at most
+    one push per class and one more, bounded beside the time."""
     start = time.perf_counter()
     net = union(cycle_net(n, "c"), twins([f"b{j}" for j in range(k)]))
     halves = union(cycle_net(n // 2, "p"), cycle_net(n // 2, "q"),
                    twins([f"t{j}" for j in range(k)]))
-    assert are_isomorphic(net, halves) is None
+    assert search_nodes(are_isomorphic, net, halves) == (None, 0)
     copy = relabeled_copy(random.Random(k), net)
-    assert is_valid_witness(net, copy, *are_isomorphic(net, copy))
+    witness, pushed = search_nodes(are_isomorphic, net, copy)
+    assert is_valid_witness(net, copy, *witness)
     assert time.perf_counter() - start < 2
+    assert pushed <= n + 2
 
 
 def test_twin_classes_must_match_in_size():
