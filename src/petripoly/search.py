@@ -4,14 +4,15 @@
 ``canonical_poly`` finds a net's least encoding.  Both read a net as its
 events grouped by (pre, post) pair plus its twin classes, both run their
 backtracking on one generator-stack driver, and both call one class
-matcher: ``are_isomorphic`` to map one net onto another, ``canonical_poly``
-to find automorphisms among its root children.  One work budget caps each
-call.
+matcher, which maps each class of a signature of its own at once and
+searches the rest: ``are_isomorphic`` to map one net onto another,
+``canonical_poly`` to find automorphisms among its root children, each
+test individualizing two classes.  One work budget caps each call.
 """
 
 from collections import Counter, defaultdict
 from heapq import heappop, heappush
-from operator import eq, itemgetter
+from operator import eq
 
 from .errors import PreconditionError
 from .net import PetriNet, _Table
@@ -25,7 +26,6 @@ _Polynomial = None  # petripoly.polynomial.Polynomial, bound by canonical_poly
 # stops at about 380 MiB.
 _WORK = 3 << 23
 _OVER = f"search work exceeds its budget of {_WORK} entries and images"
-_first = itemgetter(0)
 _IDLE = frozenset(), frozenset()  # the (pre, post) pair of the idle event
 
 
@@ -79,99 +79,98 @@ def _side(groups, keys, members):
     return groups, keys, members, sigs, in_group
 
 
-def _connected(side, count, first=()):
-    """Class indices in connected order, each with the step of an ordered
-    class it shares a group with (None where a component starts), and the
-    sorted sizes of the components (conditions linked through shared (pre,
-    post) groups; the isolated ones form one).  A component starts from the
-    class in first, else from its rarest class by count, then first member
-    id; each next class comes from a frontier heap in that order."""
+def _connected(side, count):
+    """Every class in connected order, with the class it was reached from
+    (None where a component starts), and the sorted sizes of the components
+    (conditions linked through shared (pre, post) groups; the isolated ones
+    form one).  A component starts from its rarest class by count, then
+    first member id; each next class comes from a frontier heap in that
+    order."""
     _, keys, members, sigs, in_group = side[:5]
     rank = sorted(range(len(keys)), key=lambda c: (count[sigs[c]], members[c][0]))
     at = {c: r for r, c in enumerate(rank)}
     order, sizes, reached, pending = [], [], {}, dict(in_group)  # pending: groups not yet walked
-    for start in (*first, *rank):
+    for start in rank:
         if start in reached:
             continue
         reached[start], frontier, size = None, [at[start]], 0
         while frontier:
             c = rank[heappop(frontier)]
-            size, k = size + len(members[c]), len(order)
+            size += len(members[c])
             for g, _, _ in keys[c]:
                 for d in pending.pop(g, ()):
                     if d not in reached:
-                        reached[d] = k
+                        reached[d] = c
                         heappush(frontier, at[d])
             order.append((c, reached[c]))
         sizes.append(size)
     return order, sorted(sizes)
 
 
-def _match(side1, side2, count, work, pin=None):
+def _match(side1, side2, count, work):
     """An isomorphism from one net onto another as a witness (beta, eta), or None.
 
     The class matcher behind both searches.  side1 and side2 are the nets'
-    ``_side``s, whose signatures both count to ``count``; with the same side
-    twice, it looks for an automorphism.  When every class of the first net
-    has a signature of its own, the class map is forced and is checked as it
-    stands.  Otherwise the component sizes must agree, and backtracking maps
-    the first net's classes in connected order, each onto an unused class of
-    equal signature, one that shares a group with its ordered neighbour's
-    image unless it starts a component, members paired in id order.  With pin (c, d), the first
-    component starts from c, which goes onto d alone.  Each distinct (pre,
-    post) pair of the first net is checked once its conditions are mapped,
-    by the number of events its image carries in the second; the images
-    built count in work[0], and past _WORK raise PreconditionError.  Events
-    pair up in group order.
+    ``_side``s, whose signatures both count to ``count``; on two sides of
+    one net, it looks for an automorphism.  Each class of a signature of its
+    own goes onto its one image at the start.  The others, if any, need
+    equal component sizes, and backtracking maps them in connected order
+    onto unused classes of equal signature around the image of the class
+    each was reached from, if any.  Members pair in id order, events in
+    group order.  A (pre, post) pair is checked by its image's event count
+    once its conditions are mapped, and a class of its own signature by
+    sharing a group with its parent's image once the classes walked before
+    it are.  The images built count in work[0]; past _WORK raise
+    PreconditionError.
     """
     groups1, keys1, members1, sig1 = side1[:4]
     groups2, keys2, members2, sig2, in_group2 = side2
-    beta, images = {}, {}  # images: pair of the first net -> its image at its last check
-    if pin is None and len(count) == len(sig1):  # forced: the root checks every pair
-        image = dict(zip(sig2, members2))
-        for m, sig in zip(members1, sig1):
-            beta.update(zip(m, image[sig]))
-        order, due = [], {-1: list(groups1)}
-    else:
-        order, sizes = _connected(side1, count, pin[:1] if pin else ())
-        if side2 is not side1 and sizes != _connected(side2, count)[1]:
+    order, last, ties = [], [-1] * len(groups1), defaultdict(list)  # last[g]: group g's last step
+    if len(count) < len(sig1):
+        walk, sizes = _connected(side1, count)
+        if keys2 is not keys1 and sizes != _connected(side2, count)[1]:
             return None
-        step = {b: k for k, (c, _) in enumerate(order) for b in members1[c]}
-        due = defaultdict(list)  # k -> pairs whose last condition is in order[k]
-        for pair in groups1:
-            due[max((step[b] for b in pair[0] | pair[1]), default=-1)].append(pair)
+        for c, parent in walk:
+            if count[sig1[c]] > 1:
+                for g, _, _ in keys1[c]:
+                    last[g] = len(order)
+                order.append((c, parent))
+            elif parent is not None:  # ties[k]: classes of a signature of their own due at step k
+                ties[len(order)].append((c, parent))
+    due = [[] for _ in range(len(order) + 1)]  # due[k]: the pairs checked as step k starts
+    for pair, k in zip(groups1, last):
+        due[k + 1].append(pair)
     alike = defaultdict(list)  # signature -> the second net's classes
     for d, sig in enumerate(sig2):
         alike[sig].append(d)
+    image = [alike[sig][0] if count[sig] == 1 else None for sig in sig1]  # class -> its image
+    beta = {b: e for m, d in zip(members1, image) if d is not None for b, e in zip(m, members2[d])}
     # the second net's classes that share a group with one of its classes, any signature
     near = _Table(lambda d: sorted({e for g, _, _ in keys2[d] for e in in_group2[g]}))
-    used, chosen, get = set(), [None] * len(order), beta.__getitem__  # of the second net's classes
+    used, images, get = set(), {}, beta.__getitem__  # images: pair -> its image at its last check
 
     def extend(k):
-        work[0] += len(due[k - 1])
+        work[0] += len(due[k])
         if work[0] > _WORK:
             raise PreconditionError(_OVER)
-        for p in due[k - 1]:
+        for p in due[k]:
             images[p] = found = frozenset(map(get, p[0])), frozenset(map(get, p[1]))
             if len(groups2.get(found, ())) != len(groups1[p]):
                 return
+        if any(image[c] not in near[image[parent]] for c, parent in ties[k]):
+            return
         if k == len(order):
             yield True  # the driver stops here and never resumes this step
         c, parent = order[k]
-        for d in alike[sig1[c]] if parent is None else near[chosen[parent]]:
+        for d in alike[sig1[c]] if parent is None else near[image[parent]]:
             if d not in used and sig2[d] == sig1[c]:
                 beta.update(zip(members1[c], members2[d]))  # deeper steps reassign before use
                 used.add(d)
-                chosen[k] = d
+                image[c] = d
                 yield extend(k + 1)
                 used.discard(d)
 
-    if pin:  # the pairs without conditions are checked with those of the pinned class
-        due[0] += due.pop(-1, [])
-        beta.update(zip(members1[pin[0]], members2[pin[1]]))
-        used.add(pin[1])
-        chosen[0] = pin[1]
-    if not _depth_first(extend(1 if pin else 0)):
+    if not _depth_first(extend(0)):
         return None
     eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[images[pair]])}
     return beta, eta
@@ -189,9 +188,7 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
         return None
     a, b = _side(*_twin_classes(n1)), _side(*_twin_classes(n2))
     count = Counter(a[3])
-    if count != Counter(b[3]):
-        return None
-    return _match(a, b, count, [0])
+    return _match(a, b, count, [0]) if count == Counter(b[3]) else None
 
 
 def _orbits(branch, classes, work):
@@ -201,16 +198,16 @@ def _orbits(branch, classes, work):
     one to one onto those that give it to k, with equal encodings, so k's
     subtree holds nothing better than e's.  Automorphic children have equal
     bounds, so k is tested only against the classes kept at its bound, by
-    ``_match`` pinned to the pair, and each automorphism found joins orbits
+    ``_match`` on two sides of the net where e and k, each on its own side,
+    have a signature of their own, and each automorphism found joins orbits
     in a union-find of classes.  branch: (bound, class, entries) by bound;
     classes: the net's ``_twin_classes``."""
-    bounds = list(map(_first, branch))
+    bounds = [bound for bound, _, _ in branch]
     if not any(map(eq, bounds, bounds[1:])):
         return branch
     side = _side(*classes)
     members, sigs = side[2:4]
-    count, orbit = Counter(sigs), list(range(len(sigs)))
-    twin_of = {b: c for c, m in enumerate(members) for b in m}
+    orbit, twin_of = list(range(len(sigs))), {b: c for c, m in enumerate(members) for b in m}
 
     def find(c):
         while orbit[c] != c:
@@ -218,10 +215,13 @@ def _orbits(branch, classes, work):
         return c
 
     def joined(e, k):
-        found = sigs[e] == sigs[k] and _match(side, side, count, work, (e, k))
+        if sigs[e] != sigs[k]:
+            return False
+        own = [[(sig,) if d == c else sig for d, sig in enumerate(sigs)] for c in (e, k)]
+        found = _match(*((*side[:3], sig, side[4]) for sig in own), Counter(own[0]), work)
         for b, image in found[0].items() if found else ():
             orbit[find(twin_of[b])] = find(twin_of[image])
-        return bool(found)
+        return found is not None
 
     kept, level = [], None
     for child in branch:
@@ -256,8 +256,8 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
     give lo (bounded from lo + 1 up) would be; so the first descent labels from
     the top.  Only one member of each twin class (``_twin_classes``) is tried,
     and at the root only one class of each orbit of the automorphisms that
-    ``_orbits`` finds.  The entries copied count toward the work budget, and
-    past it raise PreconditionError.
+    ``_orbits`` finds by individualizing pairs of classes.  The entries
+    copied count toward the work budget, and past it raise PreconditionError.
     """
     global _Polynomial
     if _Polynomial is None:  # bound on the first call: iso never loads polynomial.py

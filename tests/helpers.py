@@ -475,17 +475,18 @@ def rename_conditions(net, mapping):
 # ------------------------------------------------------------ search nodes
 
 def search_nodes(fn, *args):
-    """``fn(*args)`` and the number of steps it pushed onto the stack of
-    ``search._depth_first``, the root not counted.  For the call,
+    """``fn(*args)`` and the steps it pushed onto the stack of
+    ``search._depth_first``, the root not counted, as a Counter by the
+    name of the step's generator: ``search`` for ``canonical_poly``'s
+    labeling steps, ``extend`` for the class matcher's.  For the call,
     ``_depth_first`` is patched to run each step through a wrapper that
     counts its child steps and wraps them in turn."""
-    pushed = 0
+    pushed = Counter()
 
     def counted(step):
-        nonlocal pushed
         for child in step:
             if child is not True:
-                pushed += 1
+                pushed[child.__name__] += 1
                 child = counted(child)
             yield child
 

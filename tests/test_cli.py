@@ -13,7 +13,8 @@ from petripoly import (Event, PetriNet, Polynomial, decode, decompose_net, encod
 from petripoly import cli
 from petripoly.cli import run
 
-from helpers import child_interpreter, cycle_net, is_valid_witness, relabeled_copy, union
+from helpers import (child_interpreter, cycle_net, is_valid_witness, relabeled_copy, search_nodes,
+                     union)
 
 VERBS = ("encode", "decode", "mul", "add", "product", "attach", "decompose", "iso", "canon", "dot", "validate")
 
@@ -351,12 +352,16 @@ def test_canon_verb(relay_file, capsys):
 @pytest.mark.parametrize("k", [20, 1500])
 def test_canon_with_many_isolated_conditions(tmp_path, capsys, k):
     """The isolated conditions are one twin class, labeled one per search
-    step, so at k = 1500 the search runs deeper than the recursion limit."""
+    step, so at k = 1500 the search runs deeper than the recursion limit.
+    The pushes are bounded beside the time: k + 21 labeling steps and 5
+    matcher steps."""
     path = tmp_path / "net.json"
     path.write_text(write_net(union(cycle_net(5, "c"), PetriNet([f"i{j}" for j in range(k)]))))
     start = time.perf_counter()
-    assert run(["canon", str(path)]) == 0
+    code, pushed = search_nodes(run, ["canon", str(path)])
+    assert code == 0
     assert time.perf_counter() - start < 60
+    assert pushed.total() <= k + 26
     assert capsys.readouterr().out == "x^2*y^16 + x^16*y + x^4*y^8 + x^8*y^2 + x*y^4 + 1\n"
 
 
