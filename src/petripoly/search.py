@@ -7,7 +7,8 @@ backtracking on one generator-stack driver, and both call one class
 matcher, which maps each class of a signature of its own at once and
 searches the rest: ``are_isomorphic`` to map one net onto another,
 ``canonical_poly`` to find automorphisms among its root children, each
-test individualizing two classes.  One work budget caps each call.
+test individualizing two classes.  One work budget, charged by ``_spend``,
+caps each call.
 """
 
 from collections import Counter, defaultdict
@@ -25,8 +26,14 @@ _Polynomial = None  # petripoly.polynomial.Polynomial, bound by canonical_poly
 # million; a 1500-cycle, whose first descent keeps about 16 B per unit,
 # stops at about 380 MiB.
 _WORK = 3 << 23
-_OVER = f"search work exceeds its budget of {_WORK} entries and images"
 _IDLE = frozenset(), frozenset()  # the (pre, post) pair of the idle event
+
+
+def _spend(work, units):
+    """Charge units to a call's work count work[0]; past _WORK raise PreconditionError."""
+    work[0] += units
+    if work[0] > _WORK:
+        raise PreconditionError(f"search work exceeds its budget of {_WORK} entries and images")
 
 
 def _twin_classes(net):
@@ -80,13 +87,14 @@ def _side(groups, keys, members):
 
 
 def _connected(side, count):
-    """Every class in connected order, with the class it was reached from
-    (None where a component starts), and the sorted sizes of the components
-    (conditions linked through shared (pre, post) groups; the isolated ones
-    form one).  A component starts from its rarest class by count, then
-    first member id; each next class comes from a frontier heap in that
-    order."""
-    _, keys, members, sigs, in_group = side[:5]
+    """The search steps, each class of a shared signature in connected order
+    with the class it was reached from, of any signature (None where a
+    component starts), and the sorted sizes of the components (conditions
+    linked through shared (pre, post) groups; the isolated ones form one),
+    exact as every class is walked.  A component starts from its rarest
+    class by count, then first member id; each next class comes from a
+    frontier heap in that order."""
+    _, keys, members, sigs, in_group = side
     rank = sorted(range(len(keys)), key=lambda c: (count[sigs[c]], members[c][0]))
     at = {c: r for r, c in enumerate(rank)}
     order, sizes, reached, pending = [], [], {}, dict(in_group)  # pending: groups not yet walked
@@ -102,7 +110,8 @@ def _connected(side, count):
                     if d not in reached:
                         reached[d] = c
                         heappush(frontier, at[d])
-            order.append((c, reached[c]))
+            if count[sigs[c]] > 1:
+                order.append((c, reached[c]))
         sizes.append(size)
     return order, sorted(sizes)
 
@@ -114,32 +123,24 @@ def _match(side1, side2, count, work):
     ``_side``s, whose signatures both count to ``count``; on two sides of
     one net, it looks for an automorphism.  Each class of a signature of its
     own goes onto its one image at the start.  The others, if any, need
-    equal component sizes, and backtracking maps them in connected order
-    onto unused classes of equal signature around the image of the class
-    each was reached from, if any.  Members pair in id order, events in
-    group order.  A (pre, post) pair is checked by its image's event count
-    once its conditions are mapped, and a class of its own signature by
-    sharing a group with its parent's image once the classes walked before
-    it are.  The images built count in work[0]; past _WORK raise
-    PreconditionError.
+    equal component sizes, and backtracking maps them in ``_connected``
+    order onto unused classes of equal signature around the image of the
+    class each was reached from, if any.  Members pair in id order, events
+    in group order.  The one cut: a (pre, post) pair is checked by its
+    image's event count once its conditions are mapped.  The images built
+    are charged to work through ``_spend``.
     """
     groups1, keys1, members1, sig1 = side1[:4]
     groups2, keys2, members2, sig2, in_group2 = side2
-    order, last, ties = [], [-1] * len(groups1), defaultdict(list)  # last[g]: group g's last step
+    order, last = [], {}  # last[g]: the last step that touches group g, if any
     if len(count) < len(sig1):
-        walk, sizes = _connected(side1, count)
+        order, sizes = _connected(side1, count)
         if keys2 is not keys1 and sizes != _connected(side2, count)[1]:
             return None
-        for c, parent in walk:
-            if count[sig1[c]] > 1:
-                for g, _, _ in keys1[c]:
-                    last[g] = len(order)
-                order.append((c, parent))
-            elif parent is not None:  # ties[k]: classes of a signature of their own due at step k
-                ties[len(order)].append((c, parent))
+        last = {g: k for k, (c, _) in enumerate(order) for g, _, _ in keys1[c]}
     due = [[] for _ in range(len(order) + 1)]  # due[k]: the pairs checked as step k starts
-    for pair, k in zip(groups1, last):
-        due[k + 1].append(pair)
+    for g, pair in enumerate(groups1):
+        due[last.get(g, -1) + 1].append(pair)
     alike = defaultdict(list)  # signature -> the second net's classes
     for d, sig in enumerate(sig2):
         alike[sig].append(d)
@@ -147,18 +148,14 @@ def _match(side1, side2, count, work):
     beta = {b: e for m, d in zip(members1, image) if d is not None for b, e in zip(m, members2[d])}
     # the second net's classes that share a group with one of its classes, any signature
     near = _Table(lambda d: sorted({e for g, _, _ in keys2[d] for e in in_group2[g]}))
-    used, images, get = set(), {}, beta.__getitem__  # images: pair -> its image at its last check
+    used, get = set(), beta.__getitem__
 
     def extend(k):
-        work[0] += len(due[k])
-        if work[0] > _WORK:
-            raise PreconditionError(_OVER)
+        _spend(work, len(due[k]))
         for p in due[k]:
-            images[p] = found = frozenset(map(get, p[0])), frozenset(map(get, p[1]))
+            found = frozenset(map(get, p[0])), frozenset(map(get, p[1]))
             if len(groups2.get(found, ())) != len(groups1[p]):
                 return
-        if any(image[c] not in near[image[parent]] for c, parent in ties[k]):
-            return
         if k == len(order):
             yield True  # the driver stops here and never resumes this step
         c, parent = order[k]
@@ -172,7 +169,8 @@ def _match(side1, side2, count, work):
 
     if not _depth_first(extend(0)):
         return None
-    eta = {e: f for pair, ids in groups1.items() for e, f in zip(ids, groups2[images[pair]])}
+    eta = {e: f for (pre, post), ids in groups1.items()
+           for e, f in zip(ids, groups2[frozenset(map(get, pre)), frozenset(map(get, post))])}
     return beta, eta
 
 
@@ -200,8 +198,11 @@ def _orbits(branch, classes, work):
     bounds, so k is tested only against the classes kept at its bound, by
     ``_match`` on two sides of the net where e and k, each on its own side,
     have a signature of their own, and each automorphism found joins orbits
-    in a union-find of classes.  branch: (bound, class, entries) by bound;
-    classes: the net's ``_twin_classes``."""
+    in a union-find of classes.  Only the root is pruned: deeper, with the
+    labeled classes individualized too, every test refuted on cycles, whose
+    labeled prefix leaves no automorphism (C24: 25 443 matcher steps, not
+    24).  branch: (bound, class, entries) by bound; classes: the net's
+    ``_twin_classes``."""
     bounds = [bound for bound, _, _ in branch]
     if not any(map(eq, bounds, bounds[1:])):
         return branch
@@ -257,14 +258,14 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
     the top.  Only one member of each twin class (``_twin_classes``) is tried,
     and at the root only one class of each orbit of the automorphisms that
     ``_orbits`` finds by individualizing pairs of classes.  The entries
-    copied count toward the work budget, and past it raise PreconditionError.
+    copied are charged to the work budget through ``_spend``.
     """
     global _Polynomial
     if _Polynomial is None:  # bound on the first call: iso never loads polynomial.py
         from .polynomial import Polynomial as _Polynomial
-    groups, effects, twins = _twin_classes(net)
+    groups, keys, members = _twin_classes(net)
     idle = groups[_IDLE]  # made if missing; the implicit idle event joins it
-    left = [len(members) for members in twins]
+    left = list(map(len, members))
     free, free_pre = [len(pre | post) for pre, post in groups], [len(pre) for pre, _ in groups]
     w = max(len(net.conditions), len(net.events).bit_length()) + 1  # i, coeff < 2^w
     entries = [((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) + len(ids) + (ids is idle)
@@ -275,14 +276,12 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
         """Per class with a free member, sorted: (bound, class, entries) once it takes label and
         the rest take labels from lo, kept only while no best key exists or the bound is below
         it; None as soon as most (if not 0) are kept."""
-        work[0] += size * (classes - left.count(0))  # the copies below, before they exist
-        if work[0] > _WORK:
-            raise PreconditionError(_OVER)
+        _spend(work, size * (classes - left.count(0)))  # the copies below, before they exist
         bit, unit, out = 1 << label, 1 << lo, []
         for k, count in enumerate(left):
             if count:
                 entries_k = entries[:]
-                for g, p, q in effects[k]:  # u falls by 1 and u_pre by p
+                for g, p, q in keys[k]:  # u falls by 1 and u_pre by p
                     entries_k[g] += (((p + q) * bit - (unit << free[g] - 1) << w)
                                      + (p and bit - (unit << free_pre[g] - 1)) << w)
                 key_k = sorted(entries_k, reverse=True)
@@ -305,17 +304,17 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
             if (low := children(lo, lo + 1, shifted, len(branch))) is not None:
                 branch, lo_k, hi_k = low, lo + 1, hi
         elif hi - lo == top:  # the root
-            branch = _orbits(branch, (groups, effects, twins), work)
+            branch = _orbits(branch, (groups, keys, members), work)
         for key_k, k, entries_k in branch:
             if best is not None and key_k >= best:
                 break
             left[k] -= 1  # a member of class k leaves the unlabeled, and rejoins them after
-            for g, p, _ in effects[k]:
+            for g, p, _ in keys[k]:
                 free[g] -= 1
                 free_pre[g] -= p
             yield search(lo_k, hi_k, entries_k, key_k)
             left[k] += 1
-            for g, p, _ in effects[k]:
+            for g, p, _ in keys[k]:
                 free[g] += 1
                 free_pre[g] += p
 

@@ -1,5 +1,5 @@
-"""Shared generators, independent oracles, a search-node counter and a
-child interpreter.
+"""Shared generators, independent oracles, a search-node counter, a
+child interpreter and the int-limit skip marker.
 
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
@@ -24,6 +24,8 @@ from collections import Counter, defaultdict
 from itertools import combinations, permutations, product as tuples
 from math import gcd
 from pathlib import Path
+
+import pytest
 
 import petripoly
 from petripoly import (
@@ -496,6 +498,12 @@ def search_nodes(fn, *args):
         return fn(*args), pushed
     finally:
         search._depth_first = depth_first
+
+
+# ------------------------------------------------------- int-string limit
+
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 where the interpreter has none
+needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
 
 
 # ---------------------------------------------------- child interpreters

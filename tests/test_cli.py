@@ -13,13 +13,10 @@ from petripoly import (Event, PetriNet, Polynomial, decode, decompose_net, encod
 from petripoly import cli
 from petripoly.cli import run
 
-from helpers import (child_interpreter, cycle_net, is_valid_witness, relabeled_copy, search_nodes,
-                     union)
+from helpers import (INT_LIMIT, child_interpreter, cycle_net, is_valid_witness, needs_int_limit,
+                     relabeled_copy, search_nodes, union)
 
 VERBS = ("encode", "decode", "mul", "add", "product", "attach", "decompose", "iso", "canon", "dot", "validate")
-
-INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
 
 RELAY_DOC = json.dumps(
     {
@@ -54,21 +51,21 @@ LABELED_FORK_DOC = json.dumps(
 @pytest.fixture
 def relay_file(tmp_path):
     path = tmp_path / "relay.json"
-    path.write_text(RELAY_DOC)
+    path.write_text(RELAY_DOC, encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def chain_file(tmp_path):
     path = tmp_path / "chain.json"
-    path.write_text(LABELED_CHAIN_DOC)
+    path.write_text(LABELED_CHAIN_DOC, encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def fork_file(tmp_path):
     path = tmp_path / "fork.json"
-    path.write_text(LABELED_FORK_DOC)
+    path.write_text(LABELED_FORK_DOC, encoding="utf-8")
     return str(path)
 
 
@@ -99,7 +96,7 @@ def test_encode_warns_about_isolated_conditions(tmp_path, capsys):
         "events": [{"id": "e", "pre": ["a"], "post": []}],
     }
     path = tmp_path / "net.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["encode", str(path)]) == 0
     out = capsys.readouterr()
     assert "ghost" in out.err
@@ -170,7 +167,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
 def test_result_past_int_limit_exits_3(tmp_path, capsys, argv, content):
     if content is not None:
         path = tmp_path / "net.json"
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         argv = [*argv, str(path)]
     assert run(argv) == 3
     out = capsys.readouterr()
@@ -204,7 +201,7 @@ def test_beyond_reach_exits_3_with_one_line(capsys, argv):
 def test_label_too_large_to_encode_exits_3_with_one_line(tmp_path, capsys, verb, label):
     path = tmp_path / "net.json"
     net = PetriNet(["a", "b"], [Event("e", ["a"], ["b"])])
-    path.write_text(write_net(net, {"a": 0, "b": label}))
+    path.write_text(write_net(net, {"a": 0, "b": label}), encoding="utf-8")
     assert run([verb, str(path)]) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -222,9 +219,9 @@ def test_mul_and_add(capsys):
 
 def test_poly_inputs_from_files(tmp_path, capsys):
     f1 = tmp_path / "p.txt"
-    f1.write_text("x+1\n")
+    f1.write_text("x+1\n", encoding="utf-8")
     f2 = tmp_path / "q.txt"
-    f2.write_text("y^2+1\n")
+    f2.write_text("y^2+1\n", encoding="utf-8")
     assert run(["mul", str(f1), str(f2)]) == 0
     assert capsys.readouterr().out == "x*y^2 + y^2 + x + 1\n"
 
@@ -250,18 +247,18 @@ def test_product_law_through_the_cli(tmp_path, capsys):
     a.write_text(json.dumps({
         "conditions": [{"id": "a0", "label": 0}, {"id": "a1", "label": 1}],
         "events": [{"id": "e", "pre": ["a0"], "post": ["a1"]}, {"id": "f", "pre": ["a1"], "post": []}],
-    }))
+    }), encoding="utf-8")
     b.write_text(json.dumps({
         "conditions": [{"id": "b0", "label": 2}, {"id": "b1", "label": 3}],
         "events": [{"id": "g", "pre": ["b0", "b1"], "post": ["b1"]}, {"id": "h", "pre": ["b1"], "post": ["b0"]},
                    {"id": "k", "pre": [], "post": ["b0"]}],
-    }))
+    }), encoding="utf-8")
 
     def stdout_of(*argv):
         assert run(list(argv)) == 0
         return capsys.readouterr().out
 
-    ab.write_text(stdout_of("product", str(a), str(b)))
+    ab.write_text(stdout_of("product", str(a), str(b)), encoding="utf-8")
     encodings = [stdout_of("encode", str(path)) for path in (a, b)]
     assert encodings == ["x*y^2 + x^2 + 1\n", "x^12*y^8 + x^8*y^4 + y^4 + 1\n"]
     encoded = stdout_of("encode", str(ab))
@@ -330,7 +327,7 @@ def test_iso_deeper_than_the_recursion_limit(tmp_path, capsys):
     copy = relabeled_copy(random.Random(1500), cycle)
     paths = [tmp_path / "cycle.json", tmp_path / "copy.json"]
     for path, net in zip(paths, (cycle, copy)):
-        path.write_text(write_net(net))
+        path.write_text(write_net(net), encoding="utf-8")
     assert run(["iso", *map(str, paths)]) == 0
     out = capsys.readouterr()
     witness = json.loads(out.out)
@@ -356,7 +353,8 @@ def test_canon_with_many_isolated_conditions(tmp_path, capsys, k):
     The pushes are bounded beside the time: k + 21 labeling steps and 5
     matcher steps."""
     path = tmp_path / "net.json"
-    path.write_text(write_net(union(cycle_net(5, "c"), PetriNet([f"i{j}" for j in range(k)]))))
+    net = union(cycle_net(5, "c"), PetriNet([f"i{j}" for j in range(k)]))
+    path.write_text(write_net(net), encoding="utf-8")
     start = time.perf_counter()
     code, pushed = search_nodes(run, ["canon", str(path)])
     assert code == 0
@@ -374,7 +372,7 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path):
     """canon of a 1500-cycle asks for more memory than the cap allows; the
     MemoryError ends in one diagnostic and exit 3, not a traceback."""
     path = tmp_path / "cycle.json"
-    path.write_text(write_net(cycle_net(1500, "c")))
+    path.write_text(write_net(cycle_net(1500, "c")), encoding="utf-8")
     code = ("import resource; "
             f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP})); "
             "from petripoly.cli import main; main()")
@@ -388,7 +386,7 @@ def test_canon_beyond_the_work_budget_exits_3_with_one_line(tmp_path):
     it within 30 s at a peak RSS under 512 MiB (about 5 s and 380 MiB on a
     2-vCPU VM), before the 1 GiB address-space cap that guards the test."""
     path = tmp_path / "cycle.json"
-    path.write_text(write_net(cycle_net(1500, "c")))
+    path.write_text(write_net(cycle_net(1500, "c")), encoding="utf-8")
     code = ("import resource, sys; "
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from petripoly.cli import run; code = run(sys.argv[1:]); "
@@ -415,7 +413,7 @@ def test_validate_verb(tmp_path, capsys):
         "events": [{"id": "e", "pre": ["a"], "post": ["a"]}],
     }
     path = tmp_path / "net.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["validate", str(path)]) == 0
     assert capsys.readouterr().out == "isolated condition c\n"
 
@@ -427,7 +425,8 @@ def test_validate_without_warnings_prints_nothing(chain_file, capsys):
 
 def test_validate_structural_error_exits_2(tmp_path, capsys):
     path = tmp_path / "net.json"
-    path.write_text('{"conditions": [], "events": [{"id": "e", "pre": ["zz"], "post": []}]}')
+    path.write_text('{"conditions": [], "events": [{"id": "e", "pre": ["zz"], "post": []}]}',
+                    encoding="utf-8")
     assert run(["validate", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "zz" in out.err
@@ -496,7 +495,7 @@ def test_roundtrip_through_files(tmp_path, capsys):
     assert run(["decode", "-p", "x^3*y^3 + 2*x^2 + y + 2"]) == 0
     doc = capsys.readouterr().out
     path = tmp_path / "decoded.json"
-    path.write_text(doc)
+    path.write_text(doc, encoding="utf-8")
     assert run(["encode", str(path)]) == 0
     assert capsys.readouterr().out == "x^3*y^3 + 2*x^2 + y + 2\n"
 
@@ -638,7 +637,7 @@ def test_output_into_a_closed_pipe_exits_2(tmp_path):
     pipe whose read end is closed; the diagnostic on stderr, sent into the
     same pipe, cannot be written either."""
     path = tmp_path / "big.txt"
-    path.write_text("+".join(f"x^{1 << t}" for t in range(1500)) + "+1\n")
+    path.write_text("+".join(f"x^{1 << t}" for t in range(1500)) + "+1\n", encoding="utf-8")
     read, write = os.pipe()
     os.close(read)
     try:

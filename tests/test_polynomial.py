@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from petripoly import (
     tau_nat,
 )
 
-from helpers import parse_oracle, random_labeling, random_net
+from helpers import INT_LIMIT, needs_int_limit, parse_oracle, random_labeling, random_net
 
 exponents = st.integers(min_value=0, max_value=2**32 - 1)
 coefficients = st.integers(min_value=0, max_value=2**16 - 1)
@@ -229,13 +228,10 @@ def test_parse_rejects_malformed(bad):
         parse_poly(bad)
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-    reason="the interpreter has no int-string limit",
-)
+@needs_int_limit
 def test_parse_rejects_number_beyond_int_limit():
     with pytest.raises(ParseError):
-        parse_poly("x^" + "1" * (sys.get_int_max_str_digits() + 1))
+        parse_poly("x^" + "1" * (INT_LIMIT + 1))
 
 
 @given(st.text(alphabet="xy0123^*+ \n²٣$", max_size=40))
@@ -268,13 +264,10 @@ def test_print_poly_edges():
     assert print_poly(parse_poly("x*y")) == "x*y"
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-    reason="the interpreter has no int-string limit",
-)
+@needs_int_limit
 def test_print_rejects_number_beyond_int_limit():
     with pytest.raises(PreconditionError):
-        print_poly(Polynomial.constant(10 ** sys.get_int_max_str_digits()))
+        print_poly(Polynomial.constant(10 ** INT_LIMIT))
 
 
 @given(polys)

@@ -33,13 +33,15 @@ def test_both_searches_visit_a_fixed_number_of_nodes():
         assert (counts["search"], counts["extend"]) == pushed
     sparse = sparse_net(random.Random("sparse/12/1"), 12, 12)
     assert search_nodes(canonical_poly, sparse)[1] == {"search": 26280}
-    # b0 ~ b5 and b2 ~ b6 share signatures; each automorphism test fails
-    # before any matcher step, on a class of a signature of its own that
-    # shares no group with the image of the class it was reached from
+    # b0 ~ b5 and b2 ~ b6 share signatures; each of the two automorphism
+    # tests fails after one matcher step, when a pair check refutes it.
+    # The pair check is the matcher's one cut: while a class of a signature
+    # of its own was also checked against its parent's image, that check
+    # refuted both tests before any step (17 + 0)
     tied = PetriNet([f"b{k}" for k in range(7)], [
         Event("e0", {"b3"}, {"b1"}), Event("e1", {"b4", "b6"}, {"b0", "b3"}),
         Event("e2", {"b1", "b2"}, {"b4", "b5"})])
-    assert search_nodes(canonical_poly, tied)[1] == {"search": 17}
+    assert search_nodes(canonical_poly, tied)[1] == {"search": 17, "extend": 2}
     c80 = cycle_net(80, "c")
     rng = random.Random(15)
     partly = sparse_net(rng, 8, 8)
@@ -52,18 +54,18 @@ def test_both_searches_visit_a_fixed_number_of_nodes():
 
 
 def test_search_work_budget_is_per_call(monkeypatch):
-    """Past ``search._WORK`` both searches raise PreconditionError: the
-    matcher of ``are_isomorphic`` on a relabeled C80, whose pairs alone
-    outnumber a budget of 60 images, and the labeling steps of
-    ``canonical_poly`` on C16.  The count starts afresh with each call,
-    so a small call still fits under the same budget, and the large ones
-    succeed under the real one."""
+    """Past ``search._WORK`` both searches raise PreconditionError naming
+    the budget in force: the matcher of ``are_isomorphic`` on a relabeled
+    C80, whose pairs alone outnumber a budget of 60 images, and the
+    labeling steps of ``canonical_poly`` on C16.  The count starts afresh
+    with each call, so a small call still fits under the same budget, and
+    the large ones succeed under the real one."""
     c80, c16 = cycle_net(80, "c"), cycle_net(16, "c")
     copy = relabeled_copy(random.Random(80), c80)
     limit = search._WORK
     monkeypatch.setattr(search, "_WORK", 60)
     for fn, *args in [(are_isomorphic, c80, copy), (canonical_poly, c16)]:
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="budget of 60 entries"):
             fn(*args)
     small = cycle_net(3, "c")
     assert are_isomorphic(small, relabeled_copy(random.Random(3), small)) is not None
