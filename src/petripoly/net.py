@@ -75,8 +75,9 @@ class PetriNet:
     """A finite net: condition ids and a sequence of events.
 
     Every net is well formed: construction raises
-    :class:`NetStructureError` on the first duplicate event id, else on
-    the first event that references an unknown condition.  A frozenset of
+    :class:`NetStructureError` on a condition id, then an event id, that
+    is not a string, else on the first duplicate event id, else on the
+    first event that references an unknown condition.  A frozenset of
     conditions and a tuple of events are kept as given.
     """
 
@@ -85,7 +86,14 @@ class PetriNet:
 
     def __init__(self, conditions=frozenset(), events=()):
         conditions, events = frozenset(conditions), tuple(events)
-        if len({event.id for event in events}) < len(events):  # a duplicate: walk to name the first
+        if not all(isinstance(b, str) for b in conditions):
+            raise NetStructureError("condition id must be a string")
+        try:  # an id that is not a string fails the join, or the hash if it has none
+            ids = {event.id for event in events}
+            "".join(ids)
+        except TypeError:
+            raise NetStructureError("event id must be a string") from None
+        if len(ids) < len(events):  # a duplicate: walk to name the first
             seen = set()
             for event in events:
                 if event.id in seen:
@@ -93,7 +101,9 @@ class PetriNet:
                 seen.add(event.id)
         for event in events:
             if not (event.pre <= conditions and event.post <= conditions):
-                unknown = min((event.pre | event.post) - conditions)  # first in sorted order
+                # first in sorted order, strings before other ids, which go by str
+                unknown = min((event.pre | event.post) - conditions,
+                              key=lambda b: (not isinstance(b, str), str(b)))
                 raise NetStructureError(
                     f"event {event.id!r} references unknown condition {unknown!r}"
                 )

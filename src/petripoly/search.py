@@ -1,32 +1,29 @@
 """The two exact searches behind "up to isomorphism".
 
 ``are_isomorphic`` decides whether two nets are isomorphic and
-``canonical_poly`` finds a net's least encoding.  Both read a net as its
-events grouped by (pre, post) pair plus its twin classes, both run their
-backtracking on one generator-stack driver, and both call one class
-matcher, which maps each class of a signature of its own at once and
-searches the rest: ``are_isomorphic`` to map one net onto another,
-``canonical_poly`` to find automorphisms among its root children, each
-test individualizing two classes.  One work budget, charged by ``_spend``,
-caps each call.
+``canonical_poly`` finds a net's least encoding.  Both read a net once,
+through ``_side``: its events grouped by (pre, post) pair, its twin
+classes and their signatures.  Both run their backtracking on one
+generator-stack driver, and both call one class matcher, which maps each
+class of a signature of its own at once and searches the rest:
+``are_isomorphic`` to map one net onto another, ``canonical_poly`` to
+find automorphisms among its root children, each test individualizing
+two classes.  One work budget, charged by ``_spend``, caps each call.
 """
 
 from collections import Counter, defaultdict
 from heapq import heappop, heappush
-from operator import eq
 
 from .errors import PreconditionError
 from .net import PetriNet, _Table
 
 __all__ = ["are_isomorphic", "canonical_poly"]
-_Polynomial = None  # petripoly.polynomial.Polynomial, bound by canonical_poly
 # Work per call of either search: the entries that canonical_poly's children
 # copy and the images of (pre, post) pairs that _match builds.  sparse/12/1,
-# the costliest net of the tests, takes 2.5 million and sparse/20/0 14.4
+# the costliest net of the tests, takes 2.3 million and sparse/20/0 13.7
 # million; a 1500-cycle, whose first descent keeps about 16 B per unit,
 # stops at about 380 MiB.
 _WORK = 3 << 23
-_IDLE = frozenset(), frozenset()  # the (pre, post) pair of the idle event
 
 
 def _spend(work, units):
@@ -36,23 +33,35 @@ def _spend(work, units):
         raise PreconditionError(f"search work exceeds its budget of {_WORK} entries and images")
 
 
-def _twin_classes(net):
-    """Event ids grouped by (pre, post) pair, in event order, and the twin
-    classes: conditions in the same pre-sets and post-sets, such as isolated
-    ones, as two lists in step: their keys, of (group index, in pre, in post)
-    entries, and their members, listed by id.  Permuting a class is an
+def _side(net):
+    """The one reading of a net that both searches take: its event ids
+    grouped by (pre, post) pair, in event order; its twin classes
+    (conditions in the same pre-sets and post-sets, such as isolated ones)
+    as two lists in step, their keys, of (group index, in pre, in post)
+    entries, and their members, listed by id; each class's signature (its
+    size and the sorted (|pre|, |post|, events, in pre, in post) of its
+    groups); and the classes in each group.  Permuting a class is an
     automorphism; an isomorphism maps classes onto classes."""
     groups = defaultdict(list)
     for event in net.events:
         groups[(event.pre, event.post)].append(event.id)
-    entries = {b: [] for b in net.conditions}
-    for g, (pre, post) in enumerate(groups):
+    entries, shapes = {b: [] for b in net.conditions}, {b: [] for b in net.conditions}
+    for g, ((pre, post), ids) in enumerate(groups.items()):
+        shape = len(pre), len(post), len(ids)
         for b in pre | post:
-            entries[b].append((g, b in pre, b in post))
+            p, q = b in pre, b in post
+            entries[b].append((g, p, q))
+            shapes[b].append(shape + (p, q))
     classes = defaultdict(list)
     for b in sorted(net.conditions):
         classes[tuple(entries[b])].append(b)
-    return groups, list(classes), list(classes.values())
+    keys, members = list(classes), list(classes.values())
+    sigs = [(len(m), tuple(sorted(shapes[m[0]]))) for m in members]
+    in_group = defaultdict(list)
+    for c, key in enumerate(keys):
+        for g, _, _ in key:
+            in_group[g].append(c)
+    return groups, keys, members, sigs, in_group
 
 
 def _depth_first(root):
@@ -70,20 +79,6 @@ def _depth_first(root):
         else:
             stack.append(step)
     return False
-
-
-def _side(groups, keys, members):
-    """What the class matcher reads of a net: its ``_twin_classes``, each
-    class's signature (its size and the sorted (|pre|, |post|, events, in
-    pre, in post) of its groups), and the classes in each group."""
-    shapes = [(len(pre), len(post), len(ids)) for (pre, post), ids in groups.items()]
-    sigs = [(len(m), tuple(sorted(shapes[g] + (p, q) for g, p, q in key)))
-            for key, m in zip(keys, members)]
-    in_group = defaultdict(list)
-    for c, key in enumerate(keys):
-        for g, _, _ in key:
-            in_group[g].append(c)
-    return groups, keys, members, sigs, in_group
 
 
 def _connected(side, count):
@@ -184,12 +179,12 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     """
     if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
         return None
-    a, b = _side(*_twin_classes(n1)), _side(*_twin_classes(n2))
+    a, b = _side(n1), _side(n2)
     count = Counter(a[3])
     return _match(a, b, count, [0]) if count == Counter(b[3]) else None
 
 
-def _orbits(branch, classes, work):
+def _orbits(branch, side, work):
     """The root children of ``canonical_poly``, less each one whose class
     lies in the orbit of a class kept before it.  An automorphism that maps
     class e onto class k maps the labelings that give the top label to e
@@ -201,12 +196,8 @@ def _orbits(branch, classes, work):
     in a union-find of classes.  Only the root is pruned: deeper, with the
     labeled classes individualized too, every test refuted on cycles, whose
     labeled prefix leaves no automorphism (C24: 25 443 matcher steps, not
-    24).  branch: (bound, class, entries) by bound; classes: the net's
-    ``_twin_classes``."""
-    bounds = [bound for bound, _, _ in branch]
-    if not any(map(eq, bounds, bounds[1:])):
-        return branch
-    side = _side(*classes)
+    24).  branch: (bound, class, entries) by bound; side: the net's
+    ``_side``."""
     members, sigs = side[2:4]
     orbit, twin_of = list(range(len(sigs))), {b: c for c, m in enumerate(members) for b in m}
 
@@ -243,32 +234,32 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
     labelings onto {0, ..., |conditions|-1}.  Isomorphic nets without
     isolated conditions get equal canonical polynomials.
 
-    Found by depth-first branch and bound.  Events with equal (pre, post)
-    make one term under every labeling.  The free labels [lo, hi] go out
-    from either end, so a term's u unlabeled conditions, u_pre of them in
-    pre, add at least (2^u - 1) * 2^lo to i + j and (2^u_pre - 1) * 2^lo to
-    i.  With its labeled part, that bounds the term by (grade, i, coeff),
-    packed as the int grade << 2w | i << w | coeff (i, coeff < 2^w) and
-    moved by one delta from u and u_pre as a condition is labeled; ``free``
-    and ``free_pre`` keep these per term, changed in place.  A child is kept
-    only while its descending list of bounds is below the best key, if any; a
-    later leaf may still cut it.  A node gives hi to one condition, unless a
-    best key exists, two or more children are kept, and fewer of those that
-    give lo (bounded from lo + 1 up) would be; so the first descent labels from
-    the top.  Only one member of each twin class (``_twin_classes``) is tried,
-    and at the root only one class of each orbit of the automorphisms that
-    ``_orbits`` finds by individualizing pairs of classes.  The entries
-    copied are charged to the work budget through ``_spend``.
+    Found by depth-first branch and bound on the net's ``_side``.  Events
+    with equal (pre, post) make one term under every labeling.  The idle
+    event is the constant 1 under every labeling, so it stays out of the
+    search and is added to the best key's terms after it.  The free labels
+    [lo, hi] go out from either end, so a term's u unlabeled conditions,
+    u_pre of them in pre, add at least (2^u - 1) * 2^lo to i + j and
+    (2^u_pre - 1) * 2^lo to i.  With its labeled part, that bounds the term
+    by (grade, i, coeff), packed as the int grade << 2w | i << w | coeff
+    (i, coeff < 2^w) and moved by one delta from u and u_pre as a condition
+    is labeled; ``free`` and ``free_pre`` keep these per term, changed in
+    place.  A child is kept only while its descending list of bounds is
+    below the best key, if any; a later leaf may still cut it.  A node gives
+    hi to one condition, unless a best key exists, two or more children are
+    kept, and fewer of those that give lo (bounded from lo + 1 up) would be;
+    so the first descent labels from the top.  Only one member of each twin
+    class is tried, and at the root only one class of each orbit of the
+    automorphisms that ``_orbits`` finds by individualizing pairs of
+    classes, on the same ``_side``.  The entries copied are charged to the
+    work budget through ``_spend``.
     """
-    global _Polynomial
-    if _Polynomial is None:  # bound on the first call: iso never loads polynomial.py
-        from .polynomial import Polynomial as _Polynomial
-    groups, keys, members = _twin_classes(net)
-    idle = groups[_IDLE]  # made if missing; the implicit idle event joins it
+    side = _side(net)
+    groups, keys, members = side[:3]
     left = list(map(len, members))
     free, free_pre = [len(pre | post) for pre, post in groups], [len(pre) for pre, _ in groups]
     w = max(len(net.conditions), len(net.events).bit_length()) + 1  # i, coeff < 2^w
-    entries = [((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) + len(ids) + (ids is idle)
+    entries = [((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) + len(ids)
                for u, u_pre, ids in zip(free, free_pre, groups.values())]
     best, top, work, size, classes = None, len(net.conditions) - 1, [0], len(entries), len(left)
 
@@ -304,7 +295,7 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
             if (low := children(lo, lo + 1, shifted, len(branch))) is not None:
                 branch, lo_k, hi_k = low, lo + 1, hi
         elif hi - lo == top:  # the root
-            branch = _orbits(branch, (groups, keys, members), work)
+            branch = _orbits(branch, side, work)
         for key_k, k, entries_k in branch:
             if best is not None and key_k >= best:
                 break
@@ -319,6 +310,9 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
                 free_pre[g] += p
 
     _depth_first(search(0, len(net.conditions) - 1, entries, sorted(entries, reverse=True)))
+    from .polynomial import Polynomial  # here, so that iso never loads polynomial.py
     mask = (1 << w) - 1  # at a leaf every u is 0: each entry is its term; groups differ in (i, j)
-    terms = ((e >> 2 * w, e >> w & mask, e & mask) for e in best)
-    return _Polynomial._trusted({(i, grade - i): coeff for grade, i, coeff in terms})
+    terms = {(i, grade - i): coeff for grade, i, coeff in
+             ((e >> 2 * w, e >> w & mask, e & mask) for e in best)}
+    terms[0, 0] = terms.get((0, 0), 0) + 1  # the idle event, added after the search
+    return Polynomial._trusted(terms)

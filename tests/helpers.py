@@ -1,5 +1,6 @@
-"""Shared generators, independent oracles, a search-node counter, a
-child interpreter and the int-limit skip marker.
+"""Shared generators, independent oracles, a search-node counter, the
+bounded-exhaustive scope, a child interpreter and the int-limit skip
+marker.
 
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
@@ -21,8 +22,8 @@ import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
-from itertools import combinations, permutations, product as tuples
-from math import gcd
+from itertools import combinations, combinations_with_replacement, permutations, product as tuples
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from petripoly import (
     PetriNet,
     Polynomial,
     are_isomorphic,
+    canonical_poly,
     encode,
     nat_of_bits,
     product,
@@ -472,6 +474,81 @@ def rename_conditions(net, mapping):
         [Event(e.id, {mapping[b] for b in e.pre}, {mapping[b] for b in e.post})
          for e in net.events],
     )
+
+
+# ------------------------------------------------- bounded-exhaustive scope
+
+def all_nets(n, m):
+    """Every net on the conditions b0 .. b<n-1>, all used, whose events
+    e0, e1, ... are a multiset of 1 to m non-idle (pre, post) pairs."""
+    conditions = [f"b{k}" for k in range(n)]
+    sides = [frozenset(b for k, b in enumerate(conditions) if mask >> k & 1)
+             for mask in range(1 << n)]
+    pairs = [(pre, post) for pre in sides for post in sides if pre or post]
+    for k in range(1, m + 1):
+        for chosen in combinations_with_replacement(pairs, k):
+            if len(frozenset().union(*(pre | post for pre, post in chosen))) == n:
+                yield PetriNet(conditions, [Event(f"e{t}", pre, post)
+                                            for t, (pre, post) in enumerate(chosen)])
+
+
+def orbit_count(n, k):
+    """The number of isomorphism classes among the nets of ``all_nets(n, k)``
+    with exactly k events, by Burnside's lemma and not by any search.
+    A permutation of the conditions fixes the k-multisets of pairs that
+    are constant on each cycle of its action on the pairs, so it fixes as
+    many as there are ways to write k as a sum of those cycles' lengths;
+    the mean over all permutations counts the orbits of nets on n
+    conditions, some maybe unused, and those with n - 1 conditions are
+    the ones with an unused condition."""
+    def orbits(n):
+        fixed = 0
+        for perm in permutations(range(n)):
+            def move(mask):
+                return sum(1 << perm[b] for b in range(n) if mask >> b & 1)
+
+            seen, ways = set(), [1] + [0] * k  # ways[t]: sums of cycle lengths to t
+            for pair in range(1, 1 << 2 * n):  # pre in the low n bits, post in the high
+                if pair in seen:
+                    continue
+                length = 0  # of the cycle through pair
+                while pair not in seen:
+                    seen.add(pair)
+                    pair, length = move(pair) | move(pair >> n) << n, length + 1
+                for t in range(length, k + 1):
+                    ways[t] += ways[t - length]
+            fixed += ways[k]
+        return fixed // factorial(n)
+
+    return orbits(n) - orbits(n - 1)
+
+
+def check_scope(n, m):
+    """Check both searches on every net of ``all_nets(n, m)``:
+    ``canonical_poly`` equals ``canonical_oracle`` and takes as many
+    distinct values as ``orbit_count`` counts orbits, so it splits no
+    isomorphism class and merges none; ``are_isomorphic`` maps the first
+    net of each class onto every other with a valid witness, and finds no
+    map between the first nets of two classes that share the sorted
+    (|pre|, |post|) of their events and (pre count, post count) of their
+    conditions."""
+    classes = defaultdict(list)
+    for net in all_nets(n, m):
+        canon = canonical_poly(net)
+        assert canon == canonical_oracle(net), net
+        classes[canon].append(net)
+    assert len(classes) == sum(orbit_count(n, k) for k in range(1, m + 1))
+    alike = defaultdict(list)
+    for first, *rest in classes.values():
+        for net in rest:
+            assert is_valid_witness(first, net, *are_isomorphic(first, net)), (first, net)
+        degrees = Counter((sum(b in e.pre for e in first.events), sum(b in e.post for e in first.events))
+                          for b in first.conditions)
+        alike[frozenset(Counter((len(e.pre), len(e.post)) for e in first.events).items()),
+              frozenset(degrees.items())].append(first)
+    for nets in alike.values():
+        for a, b in combinations(nets, 2):
+            assert are_isomorphic(a, b) is None, (a, b)
 
 
 # ------------------------------------------------------------ search nodes

@@ -108,6 +108,37 @@ def test_net_rejects_malformed_structure(events, message):
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("conditions, events, message", [
+    ([1, "a"], [], "condition id must be a string"),
+    (["a", ("a",)], [(7, {"a"}, set())], "condition id must be a string"),
+    (["a"], [("e", {"a"}, set()), (7, set(), {"a"})], "event id must be a string"),
+    (["a"], [(["e"], {"a"}, set())], "event id must be a string"),  # unhashable
+    # an id read_net rejects while it parses goes before a duplicate, as there
+    (["a"], [("e", set(), set()), ("e", set(), set()), (None, set(), set())],
+     "event id must be a string"),
+], ids=["condition", "condition-first", "event", "event-unhashable", "event-before-duplicate"])
+def test_net_rejects_ids_that_are_not_strings(conditions, events, message):
+    """The constructor's message is read_net's for the same document."""
+    doc = json.dumps({"conditions": [{"id": b} for b in conditions],
+                      "events": [{"id": e, "pre": sorted(pre), "post": sorted(post)}
+                                 for e, pre, post in events]})
+    for build in (lambda: PetriNet(conditions, [Event(*e) for e in events]),
+                  lambda: read_net(doc)):
+        with pytest.raises(NetStructureError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_net_names_a_dangling_reference_that_is_not_a_string():
+    """A side that mixes strings and other ids names its first dangling
+    string; one without strings names its first id by str, never comparing
+    ids of different types.  read_net rejects such a side while it parses."""
+    for pre, unknown in [({1, "b", "zz"}, "'b'"), ({2.5, 10, (1,)}, "(1,)"), ({1}, "1")]:
+        with pytest.raises(NetStructureError) as caught:
+            PetriNet(["a"], [Event("e", {"a"}), Event("f", pre, {"a"})])
+        assert str(caught.value) == f"event 'f' references unknown condition {unknown}"
+
+
 _IDS = st.sampled_from(["a", "b", "c"])  # few ids, so that references dangle and ids repeat
 
 

@@ -6,8 +6,8 @@ import pytest
 from petripoly import (Event, PetriNet, PreconditionError, are_isomorphic, canonical_poly, encode,
                        product, search)
 
-from helpers import (canonical_oracle, cycle_net, is_valid_witness, relabeled_copy, search_nodes,
-                     sparse_net, twin_block_net, union)
+from helpers import (canonical_oracle, check_scope, cycle_net, is_valid_witness, relabeled_copy,
+                     search_nodes, sparse_net, twin_block_net, union)
 
 
 def test_both_searches_visit_a_fixed_number_of_nodes():
@@ -117,8 +117,8 @@ def root_tests(net):
         tests.append(found)
         return found
 
-    def recorded_orbits(branch, classes, work):
-        kept = orbits(branch, classes, work)
+    def recorded_orbits(branch, side, work):
+        kept = orbits(branch, side, work)
         sizes.append((len(branch), len(kept)))
         return kept
 
@@ -169,7 +169,7 @@ def test_automorphism_test_maps_an_individualized_class_onto_its_image():
     size."""
     for net, pairs in [(cycle_net(6, "c"), [(0, d) for d in range(6)]),
                        (union(cycle_net(3, "a"), cycle_net(4, "b")), [(0, 6)])]:
-        side = search._side(*search._twin_classes(net))
+        side = search._side(net)
         members = side[2]
         for c, d in pairs:
             first, second = individualized(side, c), individualized(side, d)
@@ -179,3 +179,11 @@ def test_automorphism_test_maps_an_individualized_class_onto_its_image():
                 assert {found[0][b] for b in members[c]} == set(members[d])
             else:
                 assert found is None
+
+
+@pytest.mark.parametrize("n, m", [(1, 6), (2, 4), (3, 2)])
+def test_every_small_net_in_the_bounded_scope(n, m):
+    """``helpers.check_scope`` on every net of n conditions, all used, and
+    1 to m events: 83, 1 961 and 354 classes up to isomorphism.  The row
+    n = 3, m = 3 (43 371 nets, 7 810 classes) runs in ``slow_scope.py``."""
+    check_scope(n, m)
