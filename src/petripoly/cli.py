@@ -1,14 +1,14 @@
 """Command-line interface.
 
 One verb per invocation.  :func:`run` builds only the parser of the verb
-it runs; when the first argument names no verb (``-h``, ``--version``, an
-unknown verb) it builds them all.  A verb's handler imports what it calls and
-returns its lines for stdout, or None for "not isomorphic"; :func:`run`
-prints them, or a one-line diagnostic on stderr, and makes the exit code:
-0 success (and isomorphic), 1 not isomorphic, 2 usage or input-format
-errors, 3 precondition violations and running out of memory.  A note,
-warning or diagnostic that stderr cannot take is dropped; the result and
-the exit code stand.
+it runs; when the first argument after any ``--stats`` names no verb
+(``-h``, ``--version``, an unknown verb) it builds them all.  A verb's
+handler imports what it calls and returns its lines for stdout, or None
+for "not isomorphic"; :func:`run` prints them, or a one-line diagnostic
+on stderr, and makes the exit code: 0 success (and isomorphic), 1 not
+isomorphic, 2 usage or input-format errors, 3 precondition violations
+and running out of memory.  A note, warning or diagnostic that stderr
+cannot take is dropped; the result and the exit code stand.
 """
 
 import argparse
@@ -200,6 +200,9 @@ def build_parser(verbs=_VERBS):
                     "encode, decode, combine, and factor into primes.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--stats", action="store_true",
+                        help="also print wall times, work counters and input sizes "
+                             "as JSON on stderr")
     sub = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
     for verb, (summary, handler, arguments) in verbs.items():
         p = sub.add_parser(verb, help=summary, description=_DESCRIPTIONS.get(verb))
@@ -213,11 +216,15 @@ def run(argv=None) -> int:
     """Parse arguments, run the verb, print its lines; return the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    verb = argv[0] if argv else None
+    verb = next((arg for arg in argv if arg != "--stats"), None)
     parser = build_parser({verb: _VERBS[verb]} if verb in _VERBS else _VERBS)
     try:
         args = parser.parse_args(argv)
-        lines = args.handler(args)
+        if args.stats:
+            from ._stats import collect
+            lines = collect(args.handler, args, _note)
+        else:
+            lines = args.handler(args)
         if lines is None:
             return 1
         for line in lines:

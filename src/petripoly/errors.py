@@ -1,6 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work-counter collector."""
+
+from contextvars import ContextVar
 
 __all__ = ["PetripolyError", "ParseError", "NetStructureError", "PreconditionError"]
+
+# A Counter while ``petripoly --stats`` runs a verb, else None.  Each call of
+# a search or of the factorizer looks it up once and adds to it only if set.
+_counters = ContextVar("counters", default=None)
 
 
 class PetripolyError(Exception):

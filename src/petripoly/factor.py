@@ -26,8 +26,9 @@ components of the synchronization product.
 
 from itertools import count, islice
 from math import gcd, inf
+from time import perf_counter
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _counters
 from .polynomial import ONE, Polynomial, nat_of_bits
 
 __all__ = [
@@ -115,6 +116,8 @@ def _prime_factors(n):
         else:
             d, budget = _rho_factor(m, budget)
             pending += [d, m // d]
+    if (tally := _counters.get()) is not None:
+        tally["rho_steps"] += _RHO_STEPS - budget
     return factors
 
 
@@ -148,9 +151,11 @@ def split_once(poly: Polynomial) -> tuple | None:
             return Polynomial.constant(p), quotient
     c, terms = poly.constant_term, poly.terms
     ranked = sorted(((i | j).bit_count(), i, j, a) for (i, j), a in terms.items())
-    full = nat_of_bits(poly.support())
+    full, tally = nat_of_bits(poly.support()), _counters.get()
     block = full & -full
     while block != full:
+        if tally is not None:
+            tally["block_checks"] += 1
         rest = full & ~block
         # F|_B and F|_R by rising bit count, the constant first; a term on
         # both sides has its two halves at lower counts, so they are in place
@@ -201,14 +206,20 @@ def decompose(poly: Polynomial) -> list[Polynomial]:
     is prime, so only the rest is split again, until it is prime itself.
     """
     _check_splittable(poly)
-    content = gcd(*poly.terms.values())
-    primes = [Polynomial.constant(p) for p in _prime_factors(content)] if content > 1 else []
-    rest = Polynomial._trusted({key: a // content for key, a in poly.terms.items()})
-    if rest != ONE or not primes:
-        while (split := split_once(rest)) is not None:
-            prime, rest = split
-            primes.append(prime)
-        primes.append(rest)
+    tally, start = _counters.get(), perf_counter()
+    try:
+        content = gcd(*poly.terms.values())
+        primes = [Polynomial.constant(p) for p in _prime_factors(content)] if content > 1 else []
+        rest = Polynomial._trusted({key: a // content for key, a in poly.terms.items()})
+        if rest != ONE or not primes:
+            while (split := split_once(rest)) is not None:
+                prime, rest = split
+                primes.append(prime)
+            primes.append(rest)
+    finally:
+        if tally is not None:
+            tally.update({"seconds.decompose": perf_counter() - start,
+                          "inputs.terms": len(poly.terms)})
     primes.sort(key=Polynomial.sort_key)
     return primes
 

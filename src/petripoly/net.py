@@ -43,6 +43,8 @@ class Event:
 
     The sets are stored as frozensets; a frozenset argument is kept
     itself, not copied, so events built from the same sets share them.
+    An unhashable entry, which is no string, raises
+    :class:`NetStructureError` with read_net's message for it.
     """
 
     __slots__ = __match_args__ = ("id", "pre", "post")
@@ -50,8 +52,12 @@ class Event:
 
     def __init__(self, id: str, pre=frozenset(), post=frozenset()):
         _set_id(self, id)
-        _set_pre(self, frozenset(pre))
-        _set_post(self, frozenset(post))
+        try:
+            _set_pre(self, frozenset(pre))
+            _set_post(self, frozenset(post))
+        except TypeError:  # the side not yet set is the one that failed
+            side = "post" if hasattr(self, "pre") else "pre"
+            raise NetStructureError(f"event {id!r}: {side} entries must be strings") from None
 
     def __reduce__(self):
         return type(self), (self.id, self.pre, self.post)
@@ -76,16 +82,21 @@ class PetriNet:
 
     Every net is well formed: construction raises
     :class:`NetStructureError` on a condition id, then an event id, that
-    is not a string, else on the first duplicate event id, else on the
-    first event that references an unknown condition.  A frozenset of
-    conditions and a tuple of events are kept as given.
+    is not a string, unhashable ones too, else on the first duplicate
+    event id, else on the first event that references an unknown
+    condition.  A frozenset of conditions and a tuple of events are kept
+    as given.
     """
 
     __slots__ = __match_args__ = ("conditions", "events")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, conditions=frozenset(), events=()):
-        conditions, events = frozenset(conditions), tuple(events)
+        try:  # an unhashable id fails here, and any other id that is not a string below
+            conditions = frozenset(conditions)
+        except TypeError:
+            raise NetStructureError("condition id must be a string") from None
+        events = tuple(events)
         if not all(isinstance(b, str) for b in conditions):
             raise NetStructureError("condition id must be a string")
         try:  # an id that is not a string fails the join, or the hash if it has none

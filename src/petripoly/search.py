@@ -2,27 +2,31 @@
 
 ``are_isomorphic`` decides whether two nets are isomorphic and
 ``canonical_poly`` finds a net's least encoding.  Both read a net once,
-through ``_side``: its events grouped by (pre, post) pair, its twin
-classes and their signatures.  Both run their backtracking on one
-generator-stack driver, and both call one class matcher, which maps each
-class of a signature of its own at once and searches the rest:
-``are_isomorphic`` to map one net onto another, ``canonical_poly`` to
-find automorphisms among its root children, each test individualizing
-two classes.  One work budget, charged by ``_spend``, caps each call.
+through ``_side``: its events grouped by (pre, post) pair and its twin
+classes; ``_signed`` adds the classes' signatures where the matcher needs
+them.  Both run their backtracking on one generator-stack driver, and
+both call one class matcher, which maps each class of a signature of its
+own at once and searches the rest: ``are_isomorphic`` to map one net onto
+another, ``canonical_poly`` to find automorphisms among its root
+children, each test individualizing two classes.  One work budget,
+charged by ``_spend``, caps each call.  Under a collector
+(``errors._counters``), each call adds its work, its driver's pushes and
+its wall time.
 """
 
 from collections import Counter, defaultdict
 from heapq import heappop, heappush
+from time import perf_counter
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _counters
 from .net import PetriNet, _Table
 
 __all__ = ["are_isomorphic", "canonical_poly"]
 # Work per call of either search: the entries that canonical_poly's children
-# copy and the images of (pre, post) pairs that _match builds.  sparse/12/1,
-# the costliest net of the tests, takes 2.3 million and sparse/20/0 13.7
-# million; a 1500-cycle, whose first descent keeps about 16 B per unit,
-# stops at about 380 MiB.
+# copy and the images of (pre, post) pairs that _match builds.  C24 takes 1.1
+# million, sparse/12/1 2.3 million, sparse/20/0 13.5 million and C32, the
+# costliest net of the tests, 15.0 million; a 1500-cycle, whose greedy dive
+# keeps about 16 B per unit, stops at about 420 MiB.
 _WORK = 3 << 23
 
 
@@ -35,41 +39,55 @@ def _spend(work, units):
 
 def _side(net):
     """The one reading of a net that both searches take: its event ids
-    grouped by (pre, post) pair, in event order; its twin classes
+    grouped by (pre, post) pair, in event order; and its twin classes
     (conditions in the same pre-sets and post-sets, such as isolated ones)
     as two lists in step, their keys, of (group index, in pre, in post)
-    entries, and their members, listed by id; each class's signature (its
-    size and the sorted (|pre|, |post|, events, in pre, in post) of its
-    groups); and the classes in each group.  Permuting a class is an
+    entries, and their members, listed by id.  Permuting a class is an
     automorphism; an isomorphism maps classes onto classes."""
     groups = defaultdict(list)
     for event in net.events:
         groups[(event.pre, event.post)].append(event.id)
-    entries, shapes = {b: [] for b in net.conditions}, {b: [] for b in net.conditions}
-    for g, ((pre, post), ids) in enumerate(groups.items()):
-        shape = len(pre), len(post), len(ids)
+    entries = {b: [] for b in net.conditions}
+    for g, (pre, post) in enumerate(groups):
         for b in pre | post:
-            p, q = b in pre, b in post
-            entries[b].append((g, p, q))
-            shapes[b].append(shape + (p, q))
+            entries[b].append((g, b in pre, b in post))
     classes = defaultdict(list)
     for b in sorted(net.conditions):
         classes[tuple(entries[b])].append(b)
-    keys, members = list(classes), list(classes.values())
-    sigs = [(len(m), tuple(sorted(shapes[m[0]]))) for m in members]
-    in_group = defaultdict(list)
-    for c, key in enumerate(keys):
-        for g, _, _ in key:
-            in_group[g].append(c)
-    return groups, keys, members, sigs, in_group
+    return groups, list(classes), list(classes.values())
+
+
+def _signed(*sides):
+    """Each ``_side`` with two lists added: its classes' signatures, and the
+    classes in each group.  A signature is a class's size and the sorted
+    (|pre|, |post|, events, in pre, in post) of its groups, held as a small
+    int from one table for all the sides, so that equal ones are equal
+    ints."""
+    table, out = {}, []
+    for groups, keys, members in sides:
+        shapes = [(len(pre), len(post), len(ids)) for (pre, post), ids in groups.items()]
+        sigs = [table.setdefault((len(m), tuple(sorted(shapes[g] + (p, q) for g, p, q in key))),
+                                 len(table)) for key, m in zip(keys, members)]
+        in_group = defaultdict(list)
+        for c, key in enumerate(keys):
+            for g, _, _ in key:
+                in_group[g].append(c)
+        out.append((groups, keys, members, sigs, in_group))
+    return out
 
 
 def _depth_first(root):
     """Run a depth-first search whose steps are generators, on an explicit
     stack instead of the interpreter's.  A step yields each child step in
     turn, or True at a solution; code after a yield runs once that child's
-    subtree is done.  True as soon as a step yields True, else False."""
-    stack = [root]
+    subtree is done.  True as soon as a step yields True, else False.
+    Under a collector, each push counts as pushes.<the step's name>."""
+    stack, tally = [root], _counters.get()
+    push = stack.append
+    if tally is not None:
+        def push(step):
+            tally["pushes." + step.__name__] += 1
+            stack.append(step)
     while stack:
         step = next(stack[-1], None)
         if step is None:  # the top step is done
@@ -77,7 +95,7 @@ def _depth_first(root):
         elif step is True:
             return True
         else:
-            stack.append(step)
+            push(step)
     return False
 
 
@@ -112,18 +130,20 @@ def _connected(side, count):
 
 
 def _match(side1, side2, count, work):
-    """An isomorphism from one net onto another as a witness (beta, eta), or None.
+    """An isomorphism from one net onto another as (beta, images), or None:
+    beta maps conditions, and images each (pre, post) pair of the first net
+    to the event ids of its image's.
 
     The class matcher behind both searches.  side1 and side2 are the nets'
-    ``_side``s, whose signatures both count to ``count``; on two sides of
-    one net, it looks for an automorphism.  Each class of a signature of its
-    own goes onto its one image at the start.  The others, if any, need
-    equal component sizes, and backtracking maps them in ``_connected``
-    order onto unused classes of equal signature around the image of the
-    class each was reached from, if any.  Members pair in id order, events
-    in group order.  The one cut: a (pre, post) pair is checked by its
-    image's event count once its conditions are mapped.  The images built
-    are charged to work through ``_spend``.
+    ``_signed`` sides, whose signatures both count to ``count``; on two
+    sides of one net, it looks for an automorphism.  Each class of a
+    signature of its own goes onto its one image at the start.  The others,
+    if any, need equal component sizes, and backtracking maps them in
+    ``_connected`` order onto unused classes of equal signature around the
+    image of the class each was reached from, if any.  Members pair in id
+    order.  The one cut: a (pre, post) pair is checked by its image's event
+    count once its conditions are mapped, and the image found is kept.  The
+    images built are charged to work through ``_spend``.
     """
     groups1, keys1, members1, sig1 = side1[:4]
     groups2, keys2, members2, sig2, in_group2 = side2
@@ -143,13 +163,14 @@ def _match(side1, side2, count, work):
     beta = {b: e for m, d in zip(members1, image) if d is not None for b, e in zip(m, members2[d])}
     # the second net's classes that share a group with one of its classes, any signature
     near = _Table(lambda d: sorted({e for g, _, _ in keys2[d] for e in in_group2[g]}))
-    used, get = set(), beta.__getitem__
+    used, get, images = set(), beta.__getitem__, {}
 
     def extend(k):
         _spend(work, len(due[k]))
         for p in due[k]:
             found = frozenset(map(get, p[0])), frozenset(map(get, p[1]))
-            if len(groups2.get(found, ())) != len(groups1[p]):
+            images[p] = ids = groups2.get(found, ())
+            if len(ids) != len(groups1[p]):
                 return
         if k == len(order):
             yield True  # the driver stops here and never resumes this step
@@ -162,11 +183,7 @@ def _match(side1, side2, count, work):
                 yield extend(k + 1)
                 used.discard(d)
 
-    if not _depth_first(extend(0)):
-        return None
-    eta = {e: f for (pre, post), ids in groups1.items()
-           for e, f in zip(ids, groups2[frozenset(map(get, pre)), frozenset(map(get, post))])}
-    return beta, eta
+    return (beta, images) if _depth_first(extend(0)) else None
 
 
 def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
@@ -175,31 +192,43 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     A witness is a pair (beta, eta): a condition bijection and an event
     bijection with beta(pre(e)) = pre(eta(e)) and likewise for post.  The
     nets' twin classes must agree in signature, and then ``_match`` maps
-    one net's classes onto the other's.
+    one net's classes onto the other's; eta pairs the events of each pair
+    with those of its image, in event order.
     """
     if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
         return None
-    a, b = _side(n1), _side(n2)
-    count = Counter(a[3])
-    return _match(a, b, count, [0]) if count == Counter(b[3]) else None
+    tally, start, work = _counters.get(), perf_counter(), [0]
+    try:
+        a, b = _signed(_side(n1), _side(n2))
+        count = Counter(a[3])
+        found = _match(a, b, count, work) if count == Counter(b[3]) else None
+    finally:
+        if tally is not None:
+            tally.update({"seconds.are_isomorphic": perf_counter() - start,
+                          "work.are_isomorphic": work[0],
+                          "inputs.conditions": 2 * len(n1.conditions),
+                          "inputs.events": 2 * len(n1.events)})
+    if found is None:
+        return None
+    beta, images = found
+    return beta, {e: f for pair, ids in a[0].items() for e, f in zip(ids, images[pair])}
 
 
 def _orbits(branch, side, work):
     """The root children of ``canonical_poly``, less each one whose class
     lies in the orbit of a class kept before it.  An automorphism that maps
-    class e onto class k maps the labelings that give the top label to e
+    class e onto class k maps the labelings that give the root's label to e
     one to one onto those that give it to k, with equal encodings, so k's
     subtree holds nothing better than e's.  Automorphic children have equal
     bounds, so k is tested only against the classes kept at its bound, by
     ``_match`` on two sides of the net where e and k, each on its own side,
-    have a signature of their own, and each automorphism found joins orbits
-    in a union-find of classes.  Only the root is pruned: deeper, with the
-    labeled classes individualized too, every test refuted on cycles, whose
-    labeled prefix leaves no automorphism (C24: 25 443 matcher steps, not
-    24).  branch: (bound, class, entries) by bound; side: the net's
-    ``_side``."""
-    members, sigs = side[2:4]
-    orbit, twin_of = list(range(len(sigs))), {b: c for c, m in enumerate(members) for b in m}
+    have a signature of their own; the net's signatures are built at the
+    first such test.  Each automorphism found joins orbits in a union-find
+    of classes.  Only the root is pruned: deeper, with the labeled classes
+    individualized too, every test refuted on cycles, whose labeled prefix
+    leaves no automorphism (C24: 25 443 matcher steps, not 24).  branch:
+    (bound, class, entries) by bound; side: the net's ``_side``."""
+    orbit, signed, twin_of = list(range(len(side[2]))), None, None
 
     def find(c):
         while orbit[c] != c:
@@ -207,10 +236,15 @@ def _orbits(branch, side, work):
         return c
 
     def joined(e, k):
+        nonlocal signed, twin_of
+        if signed is None:
+            (signed,), twin_of = _signed(side), {b: c for c, m in enumerate(side[2]) for b in m}
+        sigs = signed[3]
         if sigs[e] != sigs[k]:
             return False
-        own = [[(sig,) if d == c else sig for d, sig in enumerate(sigs)] for c in (e, k)]
-        found = _match(*((*side[:3], sig, side[4]) for sig in own), Counter(own[0]), work)
+        # e and k get -1, which is no signature of the table's
+        own = [[-1 if d == c else sig for d, sig in enumerate(sigs)] for c in (e, k)]
+        found = _match(*((*signed[:3], sig, signed[4]) for sig in own), Counter(own[0]), work)
         for b, image in found[0].items() if found else ():
             orbit[find(twin_of[b])] = find(twin_of[image])
         return found is not None
@@ -244,24 +278,27 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
     by (grade, i, coeff), packed as the int grade << 2w | i << w | coeff
     (i, coeff < 2^w) and moved by one delta from u and u_pre as a condition
     is labeled; ``free`` and ``free_pre`` keep these per term, changed in
-    place.  A child is kept only while its descending list of bounds is
-    below the best key, if any; a later leaf may still cut it.  A node gives
-    hi to one condition, unless a best key exists, two or more children are
-    kept, and fewer of those that give lo (bounded from lo + 1 up) would be;
-    so the first descent labels from the top.  Only one member of each twin
+    place.  A greedy dive first gives hi to the least child at each level,
+    and its leaf is the first best key; the search then starts again from
+    the root.  A child is kept only while its descending list of bounds is
+    below the best key; a later leaf may still cut it.  A node gives hi to
+    one condition, unless it is not the root, two or more children are
+    kept and fewer of those that give lo (bounded from lo + 1 up) would
+    be.  On the dive's path, the hi children are the dive's own, kept
+    below the best key, not built again.  Only one member of each twin
     class is tried, and at the root only one class of each orbit of the
     automorphisms that ``_orbits`` finds by individualizing pairs of
-    classes, on the same ``_side``.  The entries copied are charged to the
-    work budget through ``_spend``.
+    classes.  The entries copied are charged to the work budget through
+    ``_spend``.
     """
-    side = _side(net)
-    groups, keys, members = side[:3]
+    tally, start, work = _counters.get(), perf_counter(), [0]
+    groups, keys, members = side = _side(net)
     left = list(map(len, members))
     free, free_pre = [len(pre | post) for pre, post in groups], [len(pre) for pre, _ in groups]
     w = max(len(net.conditions), len(net.events).bit_length()) + 1  # i, coeff < 2^w
     entries = [((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) + len(ids)
                for u, u_pre, ids in zip(free, free_pre, groups.values())]
-    best, top, work, size, classes = None, len(net.conditions) - 1, [0], len(entries), len(left)
+    best, top, size, classes = None, len(net.conditions) - 1, len(entries), len(left)
 
     def children(label, lo, entries, most=0):
         """Per class with a free member, sorted: (bound, class, entries) once it takes label and
@@ -283,33 +320,54 @@ def canonical_poly(net: PetriNet) -> "Polynomial":
         out.sort()  # by bound, then class: the classes differ, so entries are never compared
         return out
 
-    def search(lo, hi, entries, key):
+    def move(k, step):
+        """A member of class k leaves the unlabeled (step 1) or rejoins them (step -1)."""
+        left[k] -= step
+        for g, p, _ in keys[k]:
+            free[g] -= step
+            free_pre[g] -= p * step
+
+    def search(lo, hi, entries, key, on_dive):
         nonlocal best
         if lo > hi:
             best = key
             return
-        branch, lo_k, hi_k = children(hi, lo, entries), lo, hi - 1
-        if best is not None and len(branch) > 1:  # labels from lo + 1 double each term's minima
+        if on_dive:
+            branch = [child for child in dive[top - hi] if child[0] < best]
+        else:
+            branch = children(hi, lo, entries)
+        lo_k, hi_k = lo, hi - 1
+        if hi - lo == top:  # the root
+            branch = _orbits(branch, side, work)
+        elif len(branch) > 1:  # labels from lo + 1 double each term's minima
             shifted = [e + (((1 << u) - 1 << 2 * w) + ((1 << u_pre) - 1 << w) << lo)
                        for e, u, u_pre in zip(entries, free, free_pre)]
             if (low := children(lo, lo + 1, shifted, len(branch))) is not None:
-                branch, lo_k, hi_k = low, lo + 1, hi
-        elif hi - lo == top:  # the root
-            branch = _orbits(branch, side, work)
-        for key_k, k, entries_k in branch:
-            if best is not None and key_k >= best:
+                branch, lo_k, hi_k, on_dive = low, lo + 1, hi, False
+        for child in branch:
+            key_k, k, entries_k = child
+            if key_k >= best:
                 break
-            left[k] -= 1  # a member of class k leaves the unlabeled, and rejoins them after
-            for g, p, _ in keys[k]:
-                free[g] -= 1
-                free_pre[g] -= p
-            yield search(lo_k, hi_k, entries_k, key_k)
-            left[k] += 1
-            for g, p, _ in keys[k]:
-                free[g] += 1
-                free_pre[g] += p
+            move(k, 1)
+            yield search(lo_k, hi_k, entries_k, key_k, on_dive and child is dive[top - hi][0])
+            move(k, -1)
 
-    _depth_first(search(0, len(net.conditions) - 1, entries, sorted(entries, reverse=True)))
+    dive, key, node = [], sorted(entries, reverse=True), entries  # dive: the children per level
+    try:
+        for label in range(top, -1, -1):  # the dive: no best key yet, so every child is kept
+            dive.append(children(label, 0, node))
+            key, k, node = dive[-1][0]
+            move(k, 1)
+        for level in dive:
+            move(level[0][1], -1)
+        best = key
+        _depth_first(search(0, top, entries, best, True))
+    finally:
+        if tally is not None:
+            tally.update({"seconds.canonical_poly": perf_counter() - start,
+                          "work.canonical_poly": work[0], "dive.levels": len(dive),
+                          "inputs.conditions": len(net.conditions),
+                          "inputs.events": len(net.events)})
     from .polynomial import Polynomial  # here, so that iso never loads polynomial.py
     mask = (1 << w) - 1  # at a leaf every u is 0: each entry is its term; groups differ in (i, j)
     terms = {(i, grade - i): coeff for grade, i, coeff in

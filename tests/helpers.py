@@ -1,4 +1,4 @@
-"""Shared generators, independent oracles, a search-node counter, the
+"""Shared generators, independent oracles, two search-node counters, the
 bounded-exhaustive scope, a child interpreter and the int-limit skip
 marker.
 
@@ -41,6 +41,7 @@ from petripoly import (
     product,
     search,
 )
+from petripoly.errors import _counters
 
 
 # --------------------------------------------------------------- oracles
@@ -575,6 +576,17 @@ def search_nodes(fn, *args):
         return fn(*args), pushed
     finally:
         search._depth_first = depth_first
+
+
+def collected(fn, *args):
+    """``fn(*args)`` and the Counter that the work-counter collector, set
+    for the call alone, holds after it, its wall times left out."""
+    tally = Counter()
+    token = _counters.set(tally)
+    try:
+        return fn(*args), Counter({k: v for k, v in tally.items() if not k.startswith("seconds.")})
+    finally:
+        _counters.reset(token)
 
 
 # ------------------------------------------------------- int-string limit

@@ -11,10 +11,11 @@ import pytest
 from petripoly import (Event, PetriNet, Polynomial, decode, decompose_net, encode, parse_poly,
                        print_poly, read_net, write_net)
 from petripoly import cli
+from petripoly import search as search_module
 from petripoly.cli import run
 
-from helpers import (INT_LIMIT, child_interpreter, cycle_net, is_valid_witness, needs_int_limit,
-                     relabeled_copy, search_nodes, union)
+from helpers import (INT_LIMIT, child_interpreter, collected, cycle_net, is_valid_witness,
+                     needs_int_limit, relabeled_copy, search_nodes, union)
 
 VERBS = ("encode", "decode", "mul", "add", "product", "attach", "decompose", "iso", "canon", "dot", "validate")
 
@@ -308,8 +309,9 @@ def test_decompose_wide_prime_chain(capsys):
     x^(2^t) * y^(2^(t+1)), t = 0..254.  It is its own only factor."""
     chain = print_poly(Polynomial({(1 << t, 2 << t): 1 for t in range(255)} | {(0, 0): 1}))
     start = time.perf_counter()
-    assert run(["decompose", "-p", chain]) == 0
+    code, tally = collected(run, ["decompose", "-p", chain])
     assert time.perf_counter() - start < 60
+    assert code == 0 and tally["block_checks"] <= 256  # at most one per support bit
     assert capsys.readouterr() == (chain + "\n", "")
 
 
@@ -380,9 +382,37 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", b"error: out of memory\n")
 
 
+def test_stats_adds_one_json_object_on_stderr(relay_file, capsys, monkeypatch):
+    """``--stats`` before the verb leaves stdout and the exit code as they
+    are and adds one JSON object on stderr: the verb's wall times in
+    seconds, the work counters and the input sizes.  A verb that fails
+    still reports what it counted, before its one-line diagnostic."""
+    nets = "seconds.verb", "inputs.conditions", "inputs.events"
+    for argv, keys in [(["mul", "-p", "x", "-p", "y"], ["seconds.verb"]),
+                       (["canon", relay_file], [*nets, "seconds.canonical_poly", "work.canonical_poly",
+                                                "dive.levels"]),
+                       (["iso", relay_file, relay_file], [*nets, "seconds.are_isomorphic",
+                                                          "work.are_isomorphic"]),
+                       (["decompose", "-p", "12*x*y^2 + 12*x + 12*y^2 + 12"],
+                        ["seconds.verb", "seconds.decompose", "inputs.terms", "block_checks", "rho_steps"])]:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert run(["--stats", *argv]) == code == 0
+        out_stats, err_stats = capsys.readouterr()
+        stats = json.loads(err_stats.removeprefix(err))
+        assert (out_stats, err_stats.count("\n")) == (out, err.count("\n") + 1)
+        assert sorted(stats) == sorted(keys) and all(value >= 0 for value in stats.values())
+    assert stats["inputs.terms"] == 4 and stats["block_checks"] == 1
+    monkeypatch.setattr(search_module, "_WORK", 5)
+    assert run(["--stats", "canon", relay_file]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert json.loads(err[0])["work.canonical_poly"] > 5
+    assert err[1:] == ["error: search work exceeds its budget of 5 entries and images"]
+
+
 def test_canon_beyond_the_work_budget_exits_3_with_one_line(tmp_path):
     """canon of a 1500-cycle copies about 2.25 million entries per search
-    node; its first descent keeps them all, so the search work budget stops
+    node; its greedy dive keeps them all, so the search work budget stops
     it within 30 s at a peak RSS under 512 MiB (about 5 s and 380 MiB on a
     2-vCPU VM), before the 1 GiB address-space cap that guards the test."""
     path = tmp_path / "cycle.json"

@@ -20,11 +20,13 @@ from petripoly import (
     parse_poly,
     print_poly,
     roundtrip_check,
+    search,
     validate,
 )
 
 from helpers import (
     canonical_oracle,
+    collected,
     cycle_net,
     encode_oracle,
     folded_product,
@@ -307,6 +309,16 @@ def test_canonical_poly_of_cycles_has_closed_form():
         assert canonical_poly(cycle_net(n, "c")) == cycle_closed_form(n)
     copy = relabeled_copy(random.Random(16), cycle_net(16, "c"))
     assert canonical_poly(copy) == cycle_closed_form(16)
+
+
+def test_canonical_poly_of_c32_fits_the_work_budget():
+    """C32 gets its closed form under ``search._WORK``: the greedy dive's
+    key, found before the search from the root, cuts it to about 15.0
+    million units, where the first descent of the search, with no key yet,
+    charged 27.5 million, past the budget."""
+    poly, tally = collected(canonical_poly, cycle_net(32, "c"))
+    assert poly == cycle_closed_form(32)
+    assert tally["work.canonical_poly"] <= search._WORK
 
 
 def test_canonical_poly_of_deep_pre_blocks():

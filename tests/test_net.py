@@ -110,13 +110,15 @@ def test_net_rejects_malformed_structure(events, message):
 
 @pytest.mark.parametrize("conditions, events, message", [
     ([1, "a"], [], "condition id must be a string"),
+    ([["a"]], [], "condition id must be a string"),  # unhashable
     (["a", ("a",)], [(7, {"a"}, set())], "condition id must be a string"),
     (["a"], [("e", {"a"}, set()), (7, set(), {"a"})], "event id must be a string"),
     (["a"], [(["e"], {"a"}, set())], "event id must be a string"),  # unhashable
     # an id read_net rejects while it parses goes before a duplicate, as there
     (["a"], [("e", set(), set()), ("e", set(), set()), (None, set(), set())],
      "event id must be a string"),
-], ids=["condition", "condition-first", "event", "event-unhashable", "event-before-duplicate"])
+], ids=["condition", "condition-unhashable", "condition-first", "event", "event-unhashable",
+        "event-before-duplicate"])
 def test_net_rejects_ids_that_are_not_strings(conditions, events, message):
     """The constructor's message is read_net's for the same document."""
     doc = json.dumps({"conditions": [{"id": b} for b in conditions],
@@ -127,6 +129,20 @@ def test_net_rejects_ids_that_are_not_strings(conditions, events, message):
         with pytest.raises(NetStructureError) as caught:
             build()
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("pre, post, side", [([["a"]], [], "pre"), (["a"], [["b"]], "post")],
+                         ids=["pre", "post"])
+def test_event_rejects_unhashable_condition_ids(pre, post, side):
+    """An unhashable entry of either side is no string: the constructor
+    raises read_net's message for the same document, not a bare
+    TypeError."""
+    doc = json.dumps({"conditions": [{"id": "a"}, {"id": "b"}],
+                      "events": [{"id": "e", "pre": pre, "post": post}]})
+    for build in (lambda: Event("e", pre, post), lambda: read_net(doc)):
+        with pytest.raises(NetStructureError) as caught:
+            build()
+        assert str(caught.value) == f"event 'e': {side} entries must be strings"
 
 
 def test_net_names_a_dangling_reference_that_is_not_a_string():

@@ -1,47 +1,49 @@
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
 from petripoly import (Event, PetriNet, PreconditionError, are_isomorphic, canonical_poly, encode,
                        product, search)
 
-from helpers import (canonical_oracle, check_scope, cycle_net, is_valid_witness, relabeled_copy,
-                     search_nodes, sparse_net, twin_block_net, union)
+from helpers import (canonical_oracle, check_scope, collected, cycle_net, is_valid_witness,
+                     relabeled_copy, search_nodes, sparse_net, twin_block_net, union)
 
 
 def test_both_searches_visit_a_fixed_number_of_nodes():
     """Steps pushed onto ``search._depth_first``'s stack, the root not
     counted, split into ``canonical_poly``'s labeling steps and the class
     matcher's, so that a change to either search's order, candidates or
-    cuts shows even where its results stay the same.  C6, C7, C8 and C16
-    push 15, 27, 37 and 606 labeling steps, and their automorphism tests
-    n - 1 matcher steps after one that fails; 2xC6 pushes 154 and 23.  On
-    a relabeled copy ``are_isomorphic`` pushes one step per class whose
-    signature is shared: each such class past a component's first takes
-    its candidates from the classes around its parent's image, not from
-    every class of its signature, and a class of a signature of its own
-    goes onto its image without a step.  So the relabeled C80 pushes 80,
-    the sparse 8-condition net, with one signature shared by two classes,
-    pushes 2, and ``sparse/12/1``, where every class has a signature of
-    its own, pushes none.  Where the component sizes refute a pair, it
-    pushes none either."""
-    for net, pushed in [(cycle_net(6, "c"), (15, 6)), (cycle_net(7, "c"), (27, 7)),
-                        (cycle_net(8, "c"), (37, 8)), (cycle_net(16, "c"), (606, 16)),
-                        (union(cycle_net(6, "a"), cycle_net(6, "b")), (154, 23))]:
+    cuts shows even where its results stay the same.  ``canonical_poly``
+    first dives greedily, one level per condition and no push, and then
+    searches from the root below the dive's key: C6, C7, C8 and C16 push 6,
+    7, 8 and 231 labeling steps, and their automorphism tests n - 1 matcher
+    steps after one that fails; 2xC6 pushes 41 and 23.  On a relabeled copy
+    ``are_isomorphic`` pushes one step per class whose signature is shared:
+    each such class past a component's first takes its candidates from the
+    classes around its parent's image, not from every class of its
+    signature, and a class of a signature of its own goes onto its image
+    without a step.  So the relabeled C80 pushes 80, the sparse
+    8-condition net, with one signature shared by two classes, pushes 2,
+    and ``sparse/12/1``, where every class has a signature of its own,
+    pushes none.  Where the component sizes refute a pair, it pushes none
+    either."""
+    for net, pushed in [(cycle_net(6, "c"), (6, 6)), (cycle_net(7, "c"), (7, 7)),
+                        (cycle_net(8, "c"), (8, 8)), (cycle_net(16, "c"), (231, 16)),
+                        (union(cycle_net(6, "a"), cycle_net(6, "b")), (41, 23))]:
         counts = search_nodes(canonical_poly, net)[1]
         assert (counts["search"], counts["extend"]) == pushed
+        assert collected(canonical_poly, net)[1]["dive.levels"] == len(net.conditions)
     sparse = sparse_net(random.Random("sparse/12/1"), 12, 12)
-    assert search_nodes(canonical_poly, sparse)[1] == {"search": 26280}
-    # b0 ~ b5 and b2 ~ b6 share signatures; each of the two automorphism
-    # tests fails after one matcher step, when a pair check refutes it.
-    # The pair check is the matcher's one cut: while a class of a signature
-    # of its own was also checked against its parent's image, that check
-    # refuted both tests before any step (17 + 0)
+    assert search_nodes(canonical_poly, sparse)[1] == {"search": 26277}
+    # b0 ~ b5 and b2 ~ b6 share signatures, but below the dive's key only
+    # b0 and b5 tie at the root; their automorphism test fails after one
+    # matcher step, when a pair check refutes it.  Before the dive, both
+    # pairs tied and each test failed so (17 + 2)
     tied = PetriNet([f"b{k}" for k in range(7)], [
         Event("e0", {"b3"}, {"b1"}), Event("e1", {"b4", "b6"}, {"b0", "b3"}),
         Event("e2", {"b1", "b2"}, {"b4", "b5"})])
-    assert search_nodes(canonical_poly, tied)[1] == {"search": 17, "extend": 2}
+    assert search_nodes(canonical_poly, tied)[1] == {"search": 8, "extend": 1}
     c80 = cycle_net(80, "c")
     rng = random.Random(15)
     partly = sparse_net(rng, 8, 8)
@@ -51,6 +53,31 @@ def test_both_searches_visit_a_fixed_number_of_nodes():
                                  (sparse, relabeled_copy(random.Random(1), sparse), True, 0)]:
         witness, pushed = search_nodes(are_isomorphic, n1, n2)
         assert (witness is not None, pushed["extend"], pushed.total()) == (found, nodes, nodes)
+
+
+def test_collector_counts_the_pushes_that_the_patched_driver_counts():
+    """The collector's pushes.<step> counts, taken at the driver's one push,
+    equal the steps that ``helpers.search_nodes`` counts by patching the
+    driver, on the nets of the pins above: both searches, with and without
+    automorphism tests at the root."""
+    tied = PetriNet([f"b{k}" for k in range(7)], [
+        Event("e0", {"b3"}, {"b1"}), Event("e1", {"b4", "b6"}, {"b0", "b3"}),
+        Event("e2", {"b1", "b2"}, {"b4", "b5"})])
+    sparse = sparse_net(random.Random("sparse/12/1"), 12, 12)
+    rng = random.Random(15)
+    partly = sparse_net(rng, 8, 8)
+    c80 = cycle_net(80, "c")
+    calls = [(canonical_poly, cycle_net(n, "c")) for n in (6, 7, 8, 16)]
+    calls += [(canonical_poly, net) for net in (union(cycle_net(6, "a"), cycle_net(6, "b")), sparse, tied)]
+    calls += [(are_isomorphic, c80, relabeled_copy(random.Random(80), c80)),
+              (are_isomorphic, c80, union(cycle_net(40, "a"), cycle_net(40, "b"))),
+              (are_isomorphic, partly, relabeled_copy(rng, partly)),
+              (are_isomorphic, sparse, relabeled_copy(random.Random(1), sparse))]
+    for fn, *args in calls:
+        result, tally = collected(fn, *args)
+        first, pushed = search_nodes(fn, *args)
+        assert result == first
+        assert {k[len("pushes."):]: v for k, v in tally.items() if k.startswith("pushes.")} == pushed
 
 
 def test_search_work_budget_is_per_call(monkeypatch):
@@ -108,13 +135,14 @@ def symmetric_nets():
 
 def root_tests(net):
     """``canonical_poly(net)``, the root children that ``search._orbits``
-    was given and kept, and the result of each automorphism test it ran."""
+    was given and kept, and the condition map of each automorphism test it
+    ran, or None where the test found none."""
     tests, sizes = [], []
     match, orbits = search._match, search._orbits
 
     def recorded_match(a, b, count, work):
         found = match(a, b, count, work)
-        tests.append(found)
+        tests.append(found and found[0])
         return found
 
     def recorded_orbits(branch, side, work):
@@ -127,6 +155,18 @@ def root_tests(net):
         return canonical_poly(net), sizes, tests
     finally:
         search._match, search._orbits = match, orbits
+
+
+def witness_of(net, beta):
+    """(beta, eta) for a condition map beta of net onto itself: eta pairs
+    each (pre, post) pair's events, in event order, with those of the
+    pair's image under beta, and leaves them out where it has none."""
+    groups = defaultdict(list)
+    for event in net.events:
+        groups[event.pre, event.post].append(event.id)
+    images = {pair: groups.get((frozenset(map(beta.get, pair[0])), frozenset(map(beta.get, pair[1]))), ())
+              for pair in groups}
+    return beta, {e: f for pair, ids in groups.items() for e, f in zip(ids, images[pair])}
 
 
 def test_pruned_root_children_keep_the_least_encoding():
@@ -146,39 +186,59 @@ def test_pruned_root_children_keep_the_least_encoding():
             assert canon <= encode(net, {b: t for t, b in enumerate(sorted(net.conditions))})
             for _ in range(3):
                 assert canonical_poly(relabeled_copy(rng, net)) == canon
-        for found in tests:
-            assert found is None or is_valid_witness(net, net, *found)
+        for beta in tests:
+            assert beta is None or is_valid_witness(net, net, *witness_of(net, beta))
         skipped += sum(given - kept for given, kept in sizes)
-        refuted += sum(found is None for found in tests)
+        refuted += sum(beta is None for beta in tests)
     assert skipped > 0 and refuted > 0
 
 
 def individualized(side, c):
-    """A ``search._side`` in which class c has the signature (sig,) of its
-    own, as ``search._orbits`` gives it."""
+    """A ``search._signed`` side in which class c has the signature -1 of
+    its own, as ``search._orbits`` gives it."""
     sigs = list(side[3])
-    sigs[c] = (sigs[c],)
+    sigs[c] = -1
     return (*side[:3], sigs, side[4])
 
 
 def test_automorphism_test_maps_an_individualized_class_onto_its_image():
-    """``search._match`` on two sides of one net, class c individualized
-    on the first and class d on the second, returns a map that sends c
-    onto d, or None; it finds one for every pair of classes of C6, and
-    none from a cycle's class onto a class of a different component
-    size."""
+    """``search._match`` on two signed sides of one net, class c
+    individualized on the first and class d on the second, returns a map
+    that sends c onto d, with the image of every (pre, post) pair, or None;
+    it finds one for every pair of classes of C6, and none from a cycle's
+    class onto a class of a different component size."""
     for net, pairs in [(cycle_net(6, "c"), [(0, d) for d in range(6)]),
                        (union(cycle_net(3, "a"), cycle_net(4, "b")), [(0, 6)])]:
-        side = search._side(net)
+        (side,) = search._signed(search._side(net))
         members = side[2]
         for c, d in pairs:
             first, second = individualized(side, c), individualized(side, d)
             found = search._match(first, second, Counter(first[3]), [0])
             if len(net.conditions) == 6:
-                assert is_valid_witness(net, net, *found)
-                assert {found[0][b] for b in members[c]} == set(members[d])
+                beta, images = found
+                assert is_valid_witness(net, net, *witness_of(net, beta))
+                groups = side[0]
+                assert images == {(pre, post): groups[frozenset(map(beta.get, pre)),
+                                                      frozenset(map(beta.get, post))]
+                                  for pre, post in groups}
+                assert {beta[b] for b in members[c]} == set(members[d])
             else:
                 assert found is None
+
+
+def test_canonical_poly_signs_the_classes_only_at_a_tie_of_root_bounds(monkeypatch):
+    """``canonical_poly`` builds the classes' signatures for ``_orbits``
+    only once two root children below the dive's key tie in bound: never on
+    a net whose root children all differ in bound, once on C6, whose six
+    tie."""
+    calls = []
+    signed = search._signed
+    monkeypatch.setattr(search, "_signed", lambda *sides: calls.append(len(sides)) or signed(*sides))
+    chain = PetriNet(["a", "b", "c"], [Event("e0", {"a"}, {"b"}), Event("e1", {"b"}, {"c"})])
+    assert canonical_poly(chain) == canonical_oracle(chain)
+    assert calls == []
+    assert canonical_poly(cycle_net(6, "c")) == canonical_oracle(cycle_net(6, "c"))
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("n, m", [(1, 6), (2, 4), (3, 2)])
