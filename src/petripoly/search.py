@@ -195,10 +195,10 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
     one net's classes onto the other's; eta pairs the events of each pair
     with those of its image, in event order.
     """
-    if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
-        return None
     tally, start, work = _counters.get(), perf_counter(), [0]
     try:
+        if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
+            return None
         a, b = _signed(_side(n1), _side(n2))
         count = Counter(a[3])
         found = _match(a, b, count, work) if count == Counter(b[3]) else None
@@ -206,8 +206,8 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
         if tally is not None:
             tally.update({"seconds.are_isomorphic": perf_counter() - start,
                           "work.are_isomorphic": work[0],
-                          "inputs.conditions": 2 * len(n1.conditions),
-                          "inputs.events": 2 * len(n1.events)})
+                          "inputs.conditions": len(n1.conditions) + len(n2.conditions),
+                          "inputs.events": len(n1.events) + len(n2.events)})
     if found is None:
         return None
     beta, images = found

@@ -1,6 +1,6 @@
-"""Shared generators, independent oracles, two search-node counters, the
-bounded-exhaustive scope, a child interpreter and the int-limit skip
-marker.
+"""Shared generators, independent oracles, the bounded-exhaustive scope,
+a call under the work-counter collector, a child interpreter and the
+int-limit skip marker.
 
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
@@ -39,7 +39,6 @@ from petripoly import (
     encode,
     nat_of_bits,
     product,
-    search,
 )
 from petripoly.errors import _counters
 
@@ -552,31 +551,7 @@ def check_scope(n, m):
             assert are_isomorphic(a, b) is None, (a, b)
 
 
-# ------------------------------------------------------------ search nodes
-
-def search_nodes(fn, *args):
-    """``fn(*args)`` and the steps it pushed onto the stack of
-    ``search._depth_first``, the root not counted, as a Counter by the
-    name of the step's generator: ``search`` for ``canonical_poly``'s
-    labeling steps, ``extend`` for the class matcher's.  For the call,
-    ``_depth_first`` is patched to run each step through a wrapper that
-    counts its child steps and wraps them in turn."""
-    pushed = Counter()
-
-    def counted(step):
-        for child in step:
-            if child is not True:
-                pushed[child.__name__] += 1
-                child = counted(child)
-            yield child
-
-    depth_first = search._depth_first
-    search._depth_first = lambda root: depth_first(counted(root))
-    try:
-        return fn(*args), pushed
-    finally:
-        search._depth_first = depth_first
-
+# --------------------------------------------------------- work counters
 
 def collected(fn, *args):
     """``fn(*args)`` and the Counter that the work-counter collector, set

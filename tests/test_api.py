@@ -53,6 +53,8 @@ def test_reading_a_net_loads_only_errors_and_net():
 
 
 def test_every_source_file_compiles_with_warnings_as_errors():
+    """Each file also parses with the grammar of Python 3.10, the oldest
+    that ``requires-python`` admits, whatever the interpreter running it."""
     for directory in ("src", "tests", "perfbench"):
         files = sorted((Path(__file__).parent.parent / directory).rglob("*.py"))
         assert files, directory
@@ -60,3 +62,4 @@ def test_every_source_file_compiles_with_warnings_as_errors():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 compile(path.read_bytes(), str(path), "exec")
+                ast.parse(path.read_bytes(), str(path), feature_version=(3, 10))

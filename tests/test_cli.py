@@ -15,7 +15,7 @@ from petripoly import search as search_module
 from petripoly.cli import run
 
 from helpers import (INT_LIMIT, child_interpreter, collected, cycle_net, is_valid_witness,
-                     needs_int_limit, relabeled_copy, search_nodes, union)
+                     needs_int_limit, relabeled_copy, union)
 
 VERBS = ("encode", "decode", "mul", "add", "product", "attach", "decompose", "iso", "canon", "dot", "validate")
 
@@ -352,16 +352,16 @@ def test_canon_verb(relay_file, capsys):
 def test_canon_with_many_isolated_conditions(tmp_path, capsys, k):
     """The isolated conditions are one twin class, labeled one per search
     step, so at k = 1500 the search runs deeper than the recursion limit.
-    The pushes are bounded beside the time: k + 21 labeling steps and 5
-    matcher steps."""
+    The pushes, k + 17 labeling steps and no matcher step, are bounded
+    beside the time."""
     path = tmp_path / "net.json"
     net = union(cycle_net(5, "c"), PetriNet([f"i{j}" for j in range(k)]))
     path.write_text(write_net(net), encoding="utf-8")
     start = time.perf_counter()
-    code, pushed = search_nodes(run, ["canon", str(path)])
+    code, tally = collected(run, ["canon", str(path)])
     assert code == 0
     assert time.perf_counter() - start < 60
-    assert pushed.total() <= k + 26
+    assert tally["pushes.search"] + tally["pushes.extend"] <= k + 26
     assert capsys.readouterr().out == "x^2*y^16 + x^16*y + x^4*y^8 + x^8*y^2 + x*y^4 + 1\n"
 
 
@@ -408,6 +408,17 @@ def test_stats_adds_one_json_object_on_stderr(relay_file, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert json.loads(err[0])["work.canonical_poly"] > 5
     assert err[1:] == ["error: search work exceeds its budget of 5 entries and images"]
+
+
+def test_stats_of_iso_on_nets_of_different_sizes(relay_file, fork_file, capsys):
+    """Nets of 2 and 3 conditions are not isomorphic, and ``are_isomorphic``
+    says so without a search, yet reports its call: no work, and the inputs
+    of both nets summed."""
+    assert run(["--stats", "iso", relay_file, fork_file]) == 1
+    out, err = capsys.readouterr()
+    stats = json.loads(err)
+    assert out == "" and stats.pop("seconds.verb") >= 0 and stats.pop("seconds.are_isomorphic") >= 0
+    assert stats == {"work.are_isomorphic": 0, "inputs.conditions": 5, "inputs.events": 4}
 
 
 def test_canon_beyond_the_work_budget_exits_3_with_one_line(tmp_path):

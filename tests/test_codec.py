@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,14 @@ from petripoly import (
     isolated_conditions,
     parse_poly,
     print_poly,
+    product,
     roundtrip_check,
     search,
     validate,
 )
 
 from helpers import (
+    all_nets,
     canonical_oracle,
     collected,
     cycle_net,
@@ -36,8 +39,8 @@ from helpers import (
     random_poly_terms,
     relabeled_copy,
     rename_conditions,
-    search_nodes,
     sparse_net,
+    splits_oracle,
     union,
 )
 from petripoly import Polynomial
@@ -276,10 +279,10 @@ def test_canonical_poly_beyond_the_sweep():
     sparse = [sparse_net(random.Random(f"sparse/12/{k}"), 12, 12) for k in range(3)]
     for net, most in zip(nets + sparse, [47, 42, 5957, 154, 124, 26280, 173]):
         start = time.perf_counter()
-        canon, pushed = search_nodes(canonical_poly, net)
+        canon, tally = collected(canonical_poly, net)
         assert time.perf_counter() - start < 60
-        assert pushed.total() <= most
-        if net is sparse[1]:  # the slowest known 12-condition net: 26 281 search nodes
+        assert tally["pushes.search"] + tally["pushes.extend"] <= most
+        if net is sparse[1]:  # the slowest known 12-condition net: 26 277 labeling steps
             assert print_poly(canon) == (
                 "x^2048*y^3 + x^4*y^1040 + x^1024*y^17 + x^16*y^1024 + x^1028*y^10"
                 " + x^8*y^1024 + x^1024*y^2 + x^2*y^1024 + x^512*y^48 + x^520*y^4"
@@ -344,10 +347,10 @@ def test_decoded_canonical_cycle_is_isomorphic_to_the_cycle():
     cycle = cycle_net(16, "c")
     decoded, _ = decode(canonical_poly(cycle))
     start = time.perf_counter()
-    witness, pushed = search_nodes(are_isomorphic, decoded, cycle)
+    witness, tally = collected(are_isomorphic, decoded, cycle)
     assert time.perf_counter() - start < 1
     assert witness is not None and is_valid_witness(decoded, cycle, *witness)
-    assert pushed.total() <= 17  # one per condition and one more
+    assert tally["pushes.search"] + tally["pushes.extend"] <= 17  # one per condition and one more
 
 
 # -------------------------------------------------------------- round trip
@@ -370,6 +373,39 @@ def test_roundtrip_random_nets():
     for _ in range(60):
         net = random_net(rng)
         assert roundtrip_check(net, random_labeling(rng, net))
+
+
+# ------------------------------------------------- bounded-exhaustive scope
+
+@pytest.mark.parametrize("n, m", [(1, 6), (2, 4), (3, 2)])
+def test_every_small_net_factors_and_decodes(n, m):
+    """Every net of ``helpers.all_nets(n, m)``, the tier-1 scope rows,
+    labeled by sorted id: ``decompose`` of its encoding gives factors that
+    multiply back to it, each prime by the exhaustive ``splits_oracle``,
+    and ``decode`` of it gives a net isomorphic to it."""
+    for net in all_nets(n, m):
+        poly = encode(net, compact(net))
+        factors = decompose(poly)
+        assert prod(factors, start=ONE) == poly and all(splits_oracle(f) is False for f in factors), net
+        decoded, _ = decode(poly)
+        witness = are_isomorphic(decoded, net)
+        assert witness is not None and is_valid_witness(decoded, net, *witness), net
+
+
+def test_product_law_on_the_small_nets():
+    """Criterion 7 on 10 458 pairs: each net of one condition and 1 to 6
+    events, labeled {0}, times each net of one or two conditions and 1 or
+    2 events, labeled from 1 by sorted id.  The product net, labeled by
+    both on its "L:" and "R:" conditions, encodes to the product of the two
+    encodings."""
+    right = []
+    for net in (*all_nets(1, 2), *all_nets(2, 2)):
+        labels = {b: t + 1 for b, t in compact(net).items()}
+        right.append((net, {"R:" + b: t for b, t in labels.items()}, encode(net, labels)))
+    for first in all_nets(1, 6):
+        poly = encode(first, {"b0": 0})
+        for second, labels, other in right:
+            assert encode(product(first, second), {"L:b0": 0} | labels) == poly * other, (first, second)
 
 
 def test_relabeling_permutes_bits():

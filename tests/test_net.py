@@ -31,6 +31,7 @@ from petripoly import net as net_module
 
 from helpers import (
     attach_oracle,
+    collected,
     cycle_net,
     disjoint_labelings,
     folded_product,
@@ -43,7 +44,6 @@ from helpers import (
     random_net,
     relabeled_copy,
     rename_conditions,
-    search_nodes,
     twin_block_net,
     union,
     winskel_morphisms,
@@ -570,13 +570,13 @@ def test_cycle_against_two_half_cycles(n):
     start = time.perf_counter()
     cycle = cycle_net(n, "c")
     halves = [cycle_net(n // 2, prefix) for prefix in "ab"]
-    witness, pushed = search_nodes(are_isomorphic, cycle, union(*halves))
-    assert (witness, pushed.total()) == (None, 0)
+    witness, tally = collected(are_isomorphic, cycle, union(*halves))
+    assert (witness, tally["pushes.search"] + tally["pushes.extend"]) == (None, 0)
     copy = relabeled_copy(random.Random(n), cycle)
-    witness, pushed = search_nodes(are_isomorphic, cycle, copy)
+    witness, tally = collected(are_isomorphic, cycle, copy)
     assert is_valid_witness(cycle, copy, *witness)
     assert time.perf_counter() - start < 2
-    assert pushed.total() <= n + 1
+    assert tally["pushes.search"] + tally["pushes.extend"] <= n + 1
 
 
 def filled_and_drained(ids):
@@ -596,13 +596,13 @@ def test_twin_classes_are_mapped_whole(n, twins, k):
     net = union(cycle_net(n, "c"), twins([f"b{j}" for j in range(k)]))
     halves = union(cycle_net(n // 2, "p"), cycle_net(n // 2, "q"),
                    twins([f"t{j}" for j in range(k)]))
-    witness, pushed = search_nodes(are_isomorphic, net, halves)
-    assert (witness, pushed.total()) == (None, 0)
+    witness, tally = collected(are_isomorphic, net, halves)
+    assert (witness, tally["pushes.search"] + tally["pushes.extend"]) == (None, 0)
     copy = relabeled_copy(random.Random(k), net)
-    witness, pushed = search_nodes(are_isomorphic, net, copy)
+    witness, tally = collected(are_isomorphic, net, copy)
     assert is_valid_witness(net, copy, *witness)
     assert time.perf_counter() - start < 2
-    assert pushed.total() <= n + 2
+    assert tally["pushes.search"] + tally["pushes.extend"] <= n + 2
 
 
 def test_twin_classes_must_match_in_size():

@@ -7,35 +7,28 @@ from petripoly import (Event, PetriNet, PreconditionError, are_isomorphic, canon
                        product, search)
 
 from helpers import (canonical_oracle, check_scope, collected, cycle_net, is_valid_witness,
-                     relabeled_copy, search_nodes, sparse_net, twin_block_net, union)
+                     relabeled_copy, sparse_net, twin_block_net, union)
 
 
 def test_both_searches_visit_a_fixed_number_of_nodes():
     """Steps pushed onto ``search._depth_first``'s stack, the root not
-    counted, split into ``canonical_poly``'s labeling steps and the class
-    matcher's, so that a change to either search's order, candidates or
-    cuts shows even where its results stay the same.  ``canonical_poly``
-    first dives greedily, one level per condition and no push, and then
-    searches from the root below the dive's key: C6, C7, C8 and C16 push 6,
-    7, 8 and 231 labeling steps, and their automorphism tests n - 1 matcher
-    steps after one that fails; 2xC6 pushes 41 and 23.  On a relabeled copy
-    ``are_isomorphic`` pushes one step per class whose signature is shared:
-    each such class past a component's first takes its candidates from the
-    classes around its parent's image, not from every class of its
-    signature, and a class of a signature of its own goes onto its image
-    without a step.  So the relabeled C80 pushes 80, the sparse
-    8-condition net, with one signature shared by two classes, pushes 2,
-    and ``sparse/12/1``, where every class has a signature of its own,
-    pushes none.  Where the component sizes refute a pair, it pushes none
-    either."""
-    for net, pushed in [(cycle_net(6, "c"), (6, 6)), (cycle_net(7, "c"), (7, 7)),
-                        (cycle_net(8, "c"), (8, 8)), (cycle_net(16, "c"), (231, 16)),
-                        (union(cycle_net(6, "a"), cycle_net(6, "b")), (41, 23))]:
-        counts = search_nodes(canonical_poly, net)[1]
-        assert (counts["search"], counts["extend"]) == pushed
-        assert collected(canonical_poly, net)[1]["dive.levels"] == len(net.conditions)
+    counted, as the collector's ``pushes.search`` (``canonical_poly``'s
+    labeling steps) and ``pushes.extend`` (the class matcher's), so that a
+    change to either search's order, candidates or cuts shows even where
+    its results stay the same.  ``canonical_poly`` first dives greedily,
+    one level per condition and no push, and then searches from the root
+    below the dive's key: C6, C7, C8 and C16 push 6, 7, 8 and 231 labeling
+    steps, and their automorphism tests n - 1 matcher steps after one that
+    fails; 2xC6 pushes 41 and 23.  On a relabeled copy ``are_isomorphic``
+    pushes one step per class whose signature is shared: each such class
+    past a component's first takes its candidates from the classes around
+    its parent's image, not from every class of its signature, and a class
+    of a signature of its own goes onto its image without a step.  So the
+    relabeled C80 pushes 80, the sparse 8-condition net, with one signature
+    shared by two classes, pushes 2, and ``sparse/12/1``, where every class
+    has a signature of its own, pushes none.  Where the component sizes
+    refute a pair, it pushes none either."""
     sparse = sparse_net(random.Random("sparse/12/1"), 12, 12)
-    assert search_nodes(canonical_poly, sparse)[1] == {"search": 26277}
     # b0 ~ b5 and b2 ~ b6 share signatures, but below the dive's key only
     # b0 and b5 tie at the root; their automorphism test fails after one
     # matcher step, when a pair check refutes it.  Before the dive, both
@@ -43,7 +36,13 @@ def test_both_searches_visit_a_fixed_number_of_nodes():
     tied = PetriNet([f"b{k}" for k in range(7)], [
         Event("e0", {"b3"}, {"b1"}), Event("e1", {"b4", "b6"}, {"b0", "b3"}),
         Event("e2", {"b1", "b2"}, {"b4", "b5"})])
-    assert search_nodes(canonical_poly, tied)[1] == {"search": 8, "extend": 1}
+    for net, pushed in [(cycle_net(6, "c"), (6, 6)), (cycle_net(7, "c"), (7, 7)),
+                        (cycle_net(8, "c"), (8, 8)), (cycle_net(16, "c"), (231, 16)),
+                        (union(cycle_net(6, "a"), cycle_net(6, "b")), (41, 23)),
+                        (sparse, (26277, 0)), (tied, (8, 1))]:
+        tally = collected(canonical_poly, net)[1]
+        assert (tally["pushes.search"], tally["pushes.extend"]) == pushed
+        assert tally["dive.levels"] == len(net.conditions)
     c80 = cycle_net(80, "c")
     rng = random.Random(15)
     partly = sparse_net(rng, 8, 8)
@@ -51,33 +50,36 @@ def test_both_searches_visit_a_fixed_number_of_nodes():
                                  (c80, union(cycle_net(40, "a"), cycle_net(40, "b")), False, 0),
                                  (partly, relabeled_copy(rng, partly), True, 2),
                                  (sparse, relabeled_copy(random.Random(1), sparse), True, 0)]:
-        witness, pushed = search_nodes(are_isomorphic, n1, n2)
-        assert (witness is not None, pushed["extend"], pushed.total()) == (found, nodes, nodes)
+        witness, tally = collected(are_isomorphic, n1, n2)
+        assert (witness is not None, tally["pushes.search"], tally["pushes.extend"]) == (found, 0, nodes)
 
 
-def test_collector_counts_the_pushes_that_the_patched_driver_counts():
-    """The collector's pushes.<step> counts, taken at the driver's one push,
-    equal the steps that ``helpers.search_nodes`` counts by patching the
-    driver, on the nets of the pins above: both searches, with and without
-    automorphism tests at the root."""
-    tied = PetriNet([f"b{k}" for k in range(7)], [
-        Event("e0", {"b3"}, {"b1"}), Event("e1", {"b4", "b6"}, {"b0", "b3"}),
-        Event("e2", {"b1", "b2"}, {"b4", "b5"})])
-    sparse = sparse_net(random.Random("sparse/12/1"), 12, 12)
-    rng = random.Random(15)
-    partly = sparse_net(rng, 8, 8)
-    c80 = cycle_net(80, "c")
-    calls = [(canonical_poly, cycle_net(n, "c")) for n in (6, 7, 8, 16)]
-    calls += [(canonical_poly, net) for net in (union(cycle_net(6, "a"), cycle_net(6, "b")), sparse, tied)]
-    calls += [(are_isomorphic, c80, relabeled_copy(random.Random(80), c80)),
-              (are_isomorphic, c80, union(cycle_net(40, "a"), cycle_net(40, "b"))),
-              (are_isomorphic, partly, relabeled_copy(rng, partly)),
-              (are_isomorphic, sparse, relabeled_copy(random.Random(1), sparse))]
-    for fn, *args in calls:
-        result, tally = collected(fn, *args)
-        first, pushed = search_nodes(fn, *args)
-        assert result == first
-        assert {k[len("pushes."):]: v for k, v in tally.items() if k.startswith("pushes.")} == pushed
+def cube_net(doubled):
+    """A net on the 3-cube Q3: conditions q0 ... q7, and per edge (p, p ^ 2^d)
+    from an even-parity vertex p one (pre, post) group ({q_p}, {q_(p ^ 2^d)})
+    with one event, or two on the edges of the perfect matching doubled."""
+    events = []
+    for p in (0, 3, 5, 6):
+        for q in (p ^ 1, p ^ 2, p ^ 4):
+            events += [Event(f"e{p}{q}{k}", {f"q{p}"}, {f"q{q}"}) for k in range(1 + ((p, q) in doubled))]
+    return PetriNet([f"q{v}" for v in range(8)], events)
+
+
+def test_class_matcher_checks_each_pair_by_its_images_event_count():
+    """Two nets on Q3 that agree in every signature and in their component
+    sizes: every condition lies in three groups, one of them of two events.
+    They are not isomorphic, since the one-event edges form two 4-cycles in
+    the first and one 8-cycle in the second, and only the matcher's one cut,
+    a pair whose image has another number of events, refutes each map; it
+    does so after 48 pushes.  A matcher that asked only for some image
+    would return a map that is no witness.  Doubling another coordinate's
+    edges gives a net isomorphic to the first."""
+    first = cube_net({(0, 1), (3, 2), (5, 4), (6, 7)})
+    witness, tally = collected(are_isomorphic, first, cube_net({(0, 2), (3, 7), (5, 1), (6, 4)}))
+    assert (witness, tally["pushes.search"], tally["pushes.extend"]) == (None, 0, 48)
+    other = cube_net({(0, 2), (3, 1), (5, 7), (6, 4)})
+    witness = are_isomorphic(first, other)
+    assert witness is not None and is_valid_witness(first, other, *witness)
 
 
 def test_search_work_budget_is_per_call(monkeypatch):
