@@ -22,7 +22,7 @@ from .net import (
     check_labeling,
     isolated_conditions,
 )
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _past_int_limit
 
 __all__ = ["encode", "decode", "roundtrip_check"]
 
@@ -55,7 +55,9 @@ def decode(poly: Polynomial):
     Conditions are the bit positions of the support, id "c<t>" labeled t.
     A monomial x^i y^j with coefficient a yields a events (a - 1 for the
     constant monomial, whose remaining unit is the implicit idle event)
-    with pre and post the bit positions of i and j.
+    with pre and post the bit positions of i and j, named "e<k>_(<i>,<j>)".
+    An exponent too long for the int-string limit cannot be named, and
+    raises :class:`PreconditionError`.
     """
     if poly.constant_term < 1:
         raise PreconditionError(
@@ -73,12 +75,15 @@ def decode(poly: Polynomial):
             n ^= low
         return frozenset(names)
 
-    terms = poly.sort_key()
-    # one condition set per distinct exponent, shared by every event that uses it
-    side = {n: conditions(n) for n in {n for grade, i, _ in terms for n in (i, grade - i)}}
-    # the constant term (grade 0) gives one event fewer: its last unit is the idle event
-    events = [Event(f"e{k}_({i},{grade - i})", side[i], side[grade - i])
-              for grade, i, coeff in terms for k in range(1, coeff + (grade > 0))]
+    side = _Table(conditions)  # one set per distinct exponent, shared by its events
+    try:
+        # the constant term (grade 0) gives one event fewer: its last unit is the idle event
+        events = [Event(f"e{k}{tail}", side[i], side[j])
+                  for grade, i, coeff in poly.sort_key()
+                  for j in (grade - i,) for tail in (f"_({i},{j})",)
+                  for k in range(1, coeff + (grade > 0))]
+    except ValueError:  # str() of an exponent past the int-string limit
+        raise _past_int_limit() from None
     return PetriNet(labeling, events), labeling
 
 

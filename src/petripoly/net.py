@@ -221,11 +221,9 @@ def write_net(net: PetriNet, labeling: Labeling | None = None) -> str:
     else:
         conditions = [f'    {{"id": {quote(b)}, "label": {labeling[b]}}}'
                       for b in sorted(net.conditions)]
-    events = [
-        f'    {{"id": {quote(e.id)}, "pre": [{", ".join(map(quote, sorted(e.pre)))}], '
-        f'"post": [{", ".join(map(quote, sorted(e.post)))}]}}'
-        for e in net.events
-    ]
+    ids = _Table(lambda side: ", ".join(map(quote, sorted(side)))).__getitem__  # once per set
+    events = [f'    {{"id": {quote(e.id)}, "pre": [{ids(e.pre)}], "post": [{ids(e.post)}]}}'
+              for e in net.events]
     return (f'{{\n  "conditions": {_json_array(conditions)},\n'
             f'  "events": {_json_array(events)}\n}}')
 

@@ -165,6 +165,14 @@ def disjoint_support(p: Polynomial, q: Polynomial) -> bool:
     return not (p.support() & q.support())
 
 
+def _past_int_limit():
+    """The error for a result with a number too long to write out."""
+    return PreconditionError(
+        "result holds a number longer than the int-string limit "
+        f"of {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def print_poly(p: Polynomial) -> str:
     """Canonical text form; inverse of :func:`parse_poly`.
 
@@ -175,26 +183,23 @@ def print_poly(p: Polynomial) -> str:
         return "0"
     parts = []
     try:
-        for grade, i, coeff in p.sort_key():
+        for grade, i, a in p.sort_key():
             j = grade - i
-            factors = []
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            if coeff != 1 or not factors:
-                factors.insert(0, str(coeff))
-            parts.append("*".join(factors))
+            parts.append(f"{a}" if not grade else
+                         f"{'' if a == 1 else f'{a}*'}"
+                         f"{'' if not i else 'x' if i == 1 else f'x^{i}'}{'*' if i and j else ''}"
+                         f"{'' if not j else 'y' if j == 1 else f'y^{j}'}")
     except ValueError:  # str() of an int past the limit
-        raise PreconditionError(
-            "result holds a number longer than the int-string limit "
-            f"of {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise _past_int_limit() from None
     return " + ".join(parts)
 
 
 _NUMBER = re.compile(r"\s*([0-9]+)\s*")
 _POWER = re.compile(r"\s*([xy])(?:\s*\^\s*([0-9]+))?\s*")
+# one term in print order: a coefficient, then x, then y, each at most once
+_TERM = re.compile(r"\s*(?=[0-9xy])(?:([0-9]+)\s*(?:\*\s*(?=[xy])|\Z))?"
+                   r"(?:(x)(?:\s*\^\s*([0-9]+))?\s*(?:\*\s*(?=y)|\Z))?"
+                   r"(?:(y)(?:\s*\^\s*([0-9]+))?\s*)?")
 
 
 def _nat(match, group, position):
@@ -208,6 +213,29 @@ def _nat(match, group, position):
         ) from None
 
 
+def _walk(term, position):
+    """(coefficient, (i, j)) of one term starting at ``position``, read factor
+    by factor; raises :class:`ParseError` at its first malformed factor."""
+    coeff, i, j = 1, 0, 0
+    for k, factor in enumerate(term.split("*")):
+        number = k == 0 and _NUMBER.fullmatch(factor)
+        if number:
+            coeff = _nat(number, 1, position)
+        elif power := _POWER.fullmatch(factor):
+            exponent = _nat(power, 2, position) if power[2] else 1
+            if power[1] == "x":
+                i += exponent
+            else:
+                j += exponent
+        else:
+            stripped = factor.strip()
+            at = position + len(factor) - len(factor.lstrip())
+            found = f"malformed factor {stripped!r}" if stripped else "empty factor"
+            raise ParseError(f"{found} at position {at}", position=at)
+        position += len(factor) + 1
+    return coeff, (i, j)
+
+
 def parse_poly(text: str) -> Polynomial:
     """Parse the ASCII polynomial syntax, e.g. ``"x^3*y^3 + 2*x^2 + y + 2"``.
 
@@ -218,27 +246,23 @@ def parse_poly(text: str) -> Polynomial:
     :class:`ParseError` at the first malformed factor, with the position
     of its first non-blank character (for an empty factor, of the
     separator or end of text after it).
+
+    Each term is read by one match of the form :func:`print_poly` writes:
+    a coefficient, then ``x``, then ``y``, each at most once.  Any other
+    term, such as ``y*x`` or ``x*x``, malformed text, or a number past
+    the int-string limit, is read factor by factor, which is also what
+    names and places every error.
     """
     terms: dict[tuple[int, int], int] = {}
     position = 0
+    match = _TERM.fullmatch
     for term in text.split("+"):
-        coeff, i, j = 1, 0, 0
-        for k, factor in enumerate(term.split("*")):
-            number = k == 0 and _NUMBER.fullmatch(factor)
-            if number:
-                coeff = _nat(number, 1, position)
-            elif power := _POWER.fullmatch(factor):
-                exponent = _nat(power, 2, position) if power[2] else 1
-                if power[1] == "x":
-                    i += exponent
-                else:
-                    j += exponent
-            else:
-                stripped = factor.strip()
-                at = position + len(factor) - len(factor.lstrip())
-                found = f"malformed factor {stripped!r}" if stripped else "empty factor"
-                raise ParseError(f"{found} at position {at}", position=at)
-            position += len(factor) + 1
+        try:
+            c, x, i, y, j = match(term).groups()
+            coeff, key = int(c or 1), (int(i or 1) if x else 0, int(j or 1) if y else 0)
+        except (AttributeError, ValueError):  # no match (None), or a number past the limit
+            coeff, key = _walk(term, position)
+        position += len(term) + 1
         if coeff:
-            terms[(i, j)] = terms.get((i, j), 0) + coeff
+            terms[key] = terms.get(key, 0) + coeff
     return Polynomial._trusted(terms)

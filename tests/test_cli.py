@@ -162,8 +162,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
             "conditions": [{"id": "a", "label": 4 * INT_LIMIT}],
             "events": [{"id": "e", "pre": ["a"], "post": []}],
         })),
+        (["decode", "-p", f"x^{'9' * INT_LIMIT}*x^{'9' * INT_LIMIT} + 1"], None),
     ],
-    ids=["long-product", "long-exponent"],
+    ids=["long-product", "long-exponent", "long-event-id"],
 )
 def test_result_past_int_limit_exits_3(tmp_path, capsys, argv, content):
     if content is not None:

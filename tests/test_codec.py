@@ -27,6 +27,7 @@ from petripoly import (
 )
 
 from helpers import (
+    INT_LIMIT,
     all_nets,
     canonical_oracle,
     collected,
@@ -34,6 +35,7 @@ from helpers import (
     encode_oracle,
     folded_product,
     is_valid_witness,
+    needs_int_limit,
     random_labeling,
     random_net,
     random_poly_terms,
@@ -167,6 +169,15 @@ def test_decode_requires_idle_event():
     for text in ("0", "x", "x^2 + y"):
         with pytest.raises(PreconditionError):
             decode(parse_poly(text))
+
+
+@needs_int_limit
+def test_decode_rejects_exponent_beyond_int_limit():
+    """An event id spells out its exponents, so one past the limit cannot be named."""
+    with pytest.raises(PreconditionError) as err:
+        decode(Polynomial({(10**INT_LIMIT, 0): 1, (0, 0): 1}))
+    assert str(err.value) == ("result holds a number longer than the int-string limit "
+                              f"of {INT_LIMIT} digits")
 
 
 def test_decode_output_is_structurally_sound():

@@ -218,23 +218,64 @@ def test_parse_ignores_whitespace():
     assert parse_poly(" 2*x ^ 2\n+ 1 ") == parse_poly("2*x^2+1")
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "x^", "2x", "x*2", "x+", "+x", "x**y", "x^-1", "z", "(x+1)",
-     "x^²", "x^٣", "x^2y^8", "x y"],
-)
+MALFORMED = {  # text -> (what, position) of the ParseError
+    "": ("empty factor", 0),
+    "x^": ("malformed factor 'x^'", 0),
+    "2x": ("malformed factor '2x'", 0),
+    "x*2": ("malformed factor '2'", 2),
+    "x+": ("empty factor", 2),
+    "+x": ("empty factor", 0),
+    "x**y": ("empty factor", 2),
+    "x^-1": ("malformed factor 'x^-1'", 0),
+    "z": ("malformed factor 'z'", 0),
+    "(x+1)": ("malformed factor '(x'", 0),
+    "x^²": ("malformed factor 'x^²'", 0),
+    "x^٣": ("malformed factor 'x^٣'", 0),
+    "x^2y^8": ("malformed factor 'x^2y^8'", 0),
+    "x y": ("malformed factor 'x y'", 0),
+    "x + $": ("malformed factor '$'", 4),
+    "3 * x ^ 2 + y*x*": ("empty factor", 16),
+    "2*3": ("malformed factor '3'", 2),
+    "2*": ("empty factor", 2),
+    "y^3 + 5*x*": ("empty factor", 10),
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED))
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(ParseError):
+    what, position = MALFORMED[bad]
+    with pytest.raises(ParseError) as err:
         parse_poly(bad)
+    assert str(err.value) == f"{what} at position {position}"
+    assert err.value.position == position
 
 
 @needs_int_limit
 def test_parse_rejects_number_beyond_int_limit():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_poly("x^" + "1" * (INT_LIMIT + 1))
+    assert str(err.value) == f"number at position 2 is too long ({INT_LIMIT + 1} digits)"
+    assert err.value.position == 2
 
 
-@given(st.text(alphabet="xy0123^*+ \n²٣$", max_size=40))
+blanks = st.text(alphabet=[" ", "\t", "\n", "\x0b", "\xa0"], max_size=2)
+numerals = st.one_of(
+    st.integers(min_value=0, max_value=10**20 - 1).map(str),
+    st.integers(min_value=0, max_value=99).map(lambda v: f"00{v}"),
+)
+padded = st.builds("{}{}{}".format, blanks, numerals, blanks)
+powers = st.builds("{}{}{}{}".format, blanks, st.sampled_from("xy"),
+                   st.one_of(st.just(""), st.builds("{}^{}".format, blanks, padded)), blanks)
+malformed = st.sampled_from(["", "2", "z", "x^", "x^-1", "x y", "2x"])
+# powers in any order, variables repeated, and one factor in eight malformed
+factors = st.integers(0, 7).flatmap(lambda k: powers if k else malformed)
+terms = st.one_of(padded, st.builds(lambda coeff, rest: "*".join(coeff + rest),
+                                    st.lists(padded, max_size=1),
+                                    st.lists(factors, min_size=1, max_size=4)))
+
+
+@given(st.one_of(st.text(alphabet="xy0123^*+ \n²٣$", max_size=40),
+                 st.lists(terms, min_size=1, max_size=4).map("+".join)))
 @settings(max_examples=500)
 def test_parse_matches_oracle(text):
     expected = parse_oracle(text)
