@@ -32,13 +32,40 @@ __all__ = [
 Labeling = dict  # ConditionId -> nonnegative int, injective
 
 
-def _frozen(self, name, *value):
-    """__setattr__ and __delattr__ of both classes."""
-    from dataclasses import FrozenInstanceError  # on this error path only
-    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+class _Record:
+    """The value protocol of both net classes, from the fields that a
+    class's ``__match_args__`` names in ``__slots__`` order: frozen,
+    rebuilt by ``copy`` and ``pickle`` through the constructor, and equal
+    only to a record of its own class with equal fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # on this error path only
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-class Event:
+class Event(_Record):
     """One event: an id plus its pre- and post-condition sets.
 
     The sets are stored as frozensets; a frozenset argument is kept
@@ -48,7 +75,6 @@ class Event:
     """
 
     __slots__ = __match_args__ = ("id", "pre", "post")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, id: str, pre=frozenset(), post=frozenset()):
         _set_id(self, id)
@@ -59,25 +85,11 @@ class Event:
             side = "post" if hasattr(self, "pre") else "pre"
             raise NetStructureError(f"event {id!r}: {side} entries must be strings") from None
 
-    def __reduce__(self):
-        return type(self), (self.id, self.pre, self.post)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(id={self.id!r}, pre={self.pre!r}, post={self.post!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id, self.pre, self.post) == (other.id, other.pre, other.post)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.id, self.pre, self.post))
-
 
 _set_id, _set_pre, _set_post = Event.id.__set__, Event.pre.__set__, Event.post.__set__
 
 
-class PetriNet:
+class PetriNet(_Record):
     """A finite net: condition ids and a sequence of events.
 
     Every net is well formed: construction raises
@@ -89,16 +101,14 @@ class PetriNet:
     """
 
     __slots__ = __match_args__ = ("conditions", "events")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, conditions=frozenset(), events=()):
-        try:  # an unhashable id fails here, and any other id that is not a string below
+        try:  # an id that is not a string fails the join, or the hash if it has none
             conditions = frozenset(conditions)
+            "".join(conditions)
         except TypeError:
             raise NetStructureError("condition id must be a string") from None
         events = tuple(events)
-        if not all(isinstance(b, str) for b in conditions):
-            raise NetStructureError("condition id must be a string")
         try:  # an id that is not a string fails the join, or the hash if it has none
             ids = {event.id for event in events}
             "".join(ids)
@@ -120,20 +130,6 @@ class PetriNet:
                 )
         _set_conditions(self, conditions)
         _set_events(self, events)
-
-    def __reduce__(self):
-        return type(self), (self.conditions, self.events)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(conditions={self.conditions!r}, events={self.events!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.conditions, self.events) == (other.conditions, other.events)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.conditions, self.events))
 
 
 _set_conditions, _set_events = PetriNet.conditions.__set__, PetriNet.events.__set__
@@ -216,11 +212,8 @@ def write_net(net: PetriNet, labeling: Labeling | None = None) -> str:
     if labeling is not None:
         check_labeling(net, labeling)
     quote = encode_basestring_ascii
-    if labeling is None:
-        conditions = [f'    {{"id": {quote(b)}}}' for b in sorted(net.conditions)]
-    else:
-        conditions = [f'    {{"id": {quote(b)}, "label": {labeling[b]}}}'
-                      for b in sorted(net.conditions)]
+    label = {b: f', "label": {n}' for b, n in (labeling or {}).items()}
+    conditions = [f'    {{"id": {quote(b)}{label.get(b, "")}}}' for b in sorted(net.conditions)]
     ids = _Table(lambda side: ", ".join(map(quote, sorted(side)))).__getitem__  # once per set
     events = [f'    {{"id": {quote(e.id)}, "pre": [{ids(e.pre)}], "post": [{ids(e.post)}]}}'
               for e in net.events]

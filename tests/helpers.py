@@ -476,6 +476,70 @@ def rename_conditions(net, mapping):
     )
 
 
+def graph_net(edges):
+    """The net of a simple graph on vertices 0, 1, ...: the vertices the
+    edges touch as conditions v<k>, and per edge one event g<k> whose
+    pre-set is both ends and whose post-set is empty."""
+    vertices = sorted({v for edge in edges for v in edge})
+    return PetriNet([f"v{v}" for v in vertices],
+                    [Event(f"g{k}", {f"v{u}", f"v{v}"}) for k, (u, v) in enumerate(edges)])
+
+
+def cubic_net(rng, n):
+    """The net of a random cubic graph on n vertices, n even, by the
+    configuration model: three points per vertex paired at random, drawn
+    again until no pair is a loop and no two pairs join the same ends."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(pair)) for pair in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return graph_net(sorted(edges))
+
+
+def vertex_profiles(net):
+    """For the net of a simple graph, as graph_net makes it, the sorted
+    list of each vertex's profile: the sizes of its distance layers and
+    the number of components of the graph on its neighbours.  Isomorphic
+    graphs have equal lists."""
+    adjacent = defaultdict(set)
+    for event in net.events:
+        u, v = event.pre
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+
+    def layers(sources, within):
+        seen, sizes = set(sources), []
+        while sources:
+            sizes.append(len(sources))
+            sources = {w for u in sources for w in adjacent[u] & within} - seen
+            seen |= sources
+        return seen, sizes
+
+    profiles = []
+    for v in net.conditions:
+        parts, rest = 0, set(adjacent[v])
+        while rest:
+            rest -= layers({rest.pop()}, adjacent[v])[0]
+            parts += 1
+        profiles.append((layers({v}, net.conditions)[1], parts))
+    return sorted(profiles)
+
+
+def cayley_net(connection):
+    """The net of the Cayley graph on Z4 x Z4 with a connection set closed
+    under negation, the element (a, b) as vertex 4a + b."""
+    edges = {tuple(sorted((4 * a + b, 4 * ((a + c) % 4) + (b + d) % 4)))
+             for a in range(4) for b in range(4) for c, d in connection}
+    return graph_net(sorted(edges))
+
+
+# Both strongly regular with parameters (16, 6, 2, 2), so colour refinement
+# alone cannot tell them apart: the rook's graph K4 x K4 and the Shrikhande graph
+ROOK = cayley_net([(a, 0) for a in (1, 2, 3)] + [(0, a) for a in (1, 2, 3)])
+SHRIKHANDE = cayley_net([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+
+
 # ------------------------------------------------- bounded-exhaustive scope
 
 def all_nets(n, m):

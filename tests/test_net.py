@@ -131,6 +131,15 @@ def test_net_rejects_ids_that_are_not_strings(conditions, events, message):
         assert str(caught.value) == message
 
 
+def test_net_checks_condition_ids_before_reading_events():
+    """A bad condition id is named whatever the events are, even when
+    they are no iterable; with good condition ids that stays a TypeError."""
+    with pytest.raises(NetStructureError, match="^condition id must be a string$"):
+        PetriNet(["a", 1], 5)
+    with pytest.raises(TypeError):
+        PetriNet(["a"], 5)
+
+
 @pytest.mark.parametrize("pre, post, side", [([["a"]], [], "pre"), (["a"], [["b"]], "post")],
                          ids=["pre", "post"])
 def test_event_rejects_unhashable_condition_ids(pre, post, side):

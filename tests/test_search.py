@@ -6,8 +6,9 @@ import pytest
 from petripoly import (Event, PetriNet, PreconditionError, are_isomorphic, canonical_poly, encode,
                        product, search)
 
-from helpers import (canonical_oracle, check_scope, collected, cycle_net, is_valid_witness,
-                     relabeled_copy, sparse_net, twin_block_net, union)
+from helpers import (ROOK, SHRIKHANDE, canonical_oracle, check_scope, collected, cubic_net, cycle_net,
+                     is_valid_witness, relabeled_copy, sparse_net, twin_block_net, union,
+                     vertex_profiles)
 
 
 def test_both_searches_visit_a_fixed_number_of_nodes():
@@ -27,7 +28,12 @@ def test_both_searches_visit_a_fixed_number_of_nodes():
     relabeled C80 pushes 80, the sparse 8-condition net, with one signature
     shared by two classes, pushes 2, and ``sparse/12/1``, where every class
     has a signature of its own, pushes none.  Where the component sizes
-    refute a pair, it pushes none either."""
+    refute a pair, it pushes none either.  On the graph nets of regular
+    graphs every condition has one signature, so only the pair check
+    cuts, and the pushes are the counts a refining matcher has to beat:
+    the rook's graph and the Shrikhande graph, both strongly regular
+    (16, 6, 2, 2), and two cubic graphs on 20 vertices are told apart by
+    their vertex profiles, not by the search under test."""
     sparse = sparse_net(random.Random("sparse/12/1"), 12, 12)
     # b0 ~ b5 and b2 ~ b6 share signatures, but below the dive's key only
     # b0 and b5 tie at the root; their automorphism test fails after one
@@ -46,12 +52,20 @@ def test_both_searches_visit_a_fixed_number_of_nodes():
     c80 = cycle_net(80, "c")
     rng = random.Random(15)
     partly = sparse_net(rng, 8, 8)
+    cubic, other = (cubic_net(random.Random(f"cubic/20/{k}"), 20) for k in (1, 2))
+    assert vertex_profiles(ROOK) != vertex_profiles(SHRIKHANDE)
+    assert vertex_profiles(cubic) != vertex_profiles(other)
     for n1, n2, found, nodes in [(c80, relabeled_copy(random.Random(80), c80), True, 80),
                                  (c80, union(cycle_net(40, "a"), cycle_net(40, "b")), False, 0),
                                  (partly, relabeled_copy(rng, partly), True, 2),
-                                 (sparse, relabeled_copy(random.Random(1), sparse), True, 0)]:
+                                 (sparse, relabeled_copy(random.Random(1), sparse), True, 0),
+                                 (ROOK, SHRIKHANDE, False, 38512),
+                                 (ROOK, relabeled_copy(random.Random("rook"), ROOK), True, 32),
+                                 (cubic, relabeled_copy(random.Random("cubic"), cubic), True, 1563),
+                                 (cubic, other, False, 1436)]:
         witness, tally = collected(are_isomorphic, n1, n2)
         assert (witness is not None, tally["pushes.search"], tally["pushes.extend"]) == (found, 0, nodes)
+        assert witness is None or is_valid_witness(n1, n2, *witness)
 
 
 def cube_net(doubled):
