@@ -221,21 +221,17 @@ def write_net(net: PetriNet, labeling: Labeling | None = None) -> str:
             f'  "events": {_json_array(events)}\n}}')
 
 
-def _refs(entry, event_id, side, condition_ids):
-    """One side of an event object: its array of condition ids as a frozenset.
-    A side within ``condition_ids`` holds only strings, so its entries are
-    walked only when it is not; a dangling id is left to the constructor."""
+def _refs(entry, event_id, side):
+    """One side of an event object: its array of condition ids as a frozenset,
+    checked to hold only strings; a dangling id is left to the constructor."""
     refs = entry.get(side)
     if not isinstance(refs, list):
         raise NetStructureError(f"event {event_id!r} needs a {side!r} array")
-    try:
-        found = frozenset(refs)
-    except TypeError:  # an unhashable entry, which is no string
-        found = None
-    if found is None or not found <= condition_ids:
-        if not all(isinstance(b, str) for b in refs):
-            raise NetStructureError(f"event {event_id!r}: {side} entries must be strings")
-    return found
+    try:  # an entry that is not a string fails the join
+        "".join(refs)
+    except TypeError:
+        raise NetStructureError(f"event {event_id!r}: {side} entries must be strings") from None
+    return frozenset(refs)
 
 
 def read_net(text: str):
@@ -286,7 +282,6 @@ def read_net(text: str):
         e = entry.get("id")
         if not isinstance(e, str):
             raise NetStructureError("event id must be a string")
-        events.append(Event(e, _refs(entry, e, "pre", condition_ids),
-                            _refs(entry, e, "post", condition_ids)))
+        events.append(Event(e, _refs(entry, e, "pre"), _refs(entry, e, "post")))
 
     return PetriNet(condition_ids, events), (labels or None)

@@ -99,16 +99,16 @@ def _depth_first(root):
     return False
 
 
-def _connected(side, count):
+def _connected(side, alike):
     """The search steps, each class of a shared signature in connected order
     with the class it was reached from, of any signature (None where a
     component starts), and the sorted sizes of the components (conditions
     linked through shared (pre, post) groups; the isolated ones form one),
     exact as every class is walked.  A component starts from its rarest
-    class by count, then first member id; each next class comes from a
-    frontier heap in that order."""
+    class by its signature's classes in ``alike``, then first member id;
+    each next class comes from a frontier heap in that order."""
     _, keys, members, sigs, in_group = side
-    rank = sorted(range(len(keys)), key=lambda c: (count[sigs[c]], members[c][0]))
+    rank = sorted(range(len(keys)), key=lambda c: (len(alike[sigs[c]]), members[c][0]))
     at = {c: r for r, c in enumerate(rank)}
     order, sizes, reached, pending = [], [], {}, dict(in_group)  # pending: groups not yet walked
     for start in rank:
@@ -123,43 +123,42 @@ def _connected(side, count):
                     if d not in reached:
                         reached[d] = c
                         heappush(frontier, at[d])
-            if count[sigs[c]] > 1:
+            if len(alike[sigs[c]]) > 1:
                 order.append((c, reached[c]))
         sizes.append(size)
     return order, sorted(sizes)
 
 
-def _match(side1, side2, count, work):
-    """An isomorphism from one net onto another as (beta, images), or None:
-    beta maps conditions, and images each (pre, post) pair of the first net
-    to the event ids of its image's.
+def _match(side1, side2, work):
+    """An isomorphism from one net onto another as (image, beta, images), or
+    None: image maps classes, by index, beta conditions, and images each
+    (pre, post) pair of the first net to the event ids of its image's.
 
     The class matcher behind both searches.  side1 and side2 are the nets'
-    ``_signed`` sides, whose signatures both count to ``count``; on two
-    sides of one net, it looks for an automorphism.  Each class of a
-    signature of its own goes onto its one image at the start.  The others,
-    if any, need equal component sizes, and backtracking maps them in
-    ``_connected`` order onto unused classes of equal signature around the
-    image of the class each was reached from, if any.  Members pair in id
-    order.  The one cut: a (pre, post) pair is checked by its image's event
-    count once its conditions are mapped, and the image found is kept.  The
-    images built are charged to work through ``_spend``.
-    """
+    ``_signed`` sides, with equal multisets of signatures; on two sides of
+    one net, it looks for an automorphism.  Each class of a signature of its
+    own goes onto its one image at the start.  The others, if any, need
+    equal component sizes, and backtracking maps them in ``_connected``
+    order onto unused classes of equal signature around the image of the
+    class each was reached from, if any.  Members pair in id order.  The one
+    cut: a (pre, post) pair is checked by its image's event count once its
+    conditions are mapped, and the image found is kept.  The images built
+    are charged to work through ``_spend``."""
     groups1, keys1, members1, sig1 = side1[:4]
     groups2, keys2, members2, sig2, in_group2 = side2
+    alike = defaultdict(list)  # signature -> the second net's classes
+    for d, sig in enumerate(sig2):
+        alike[sig].append(d)
     order, last = [], {}  # last[g]: the last step that touches group g, if any
-    if len(count) < len(sig1):
-        order, sizes = _connected(side1, count)
-        if keys2 is not keys1 and sizes != _connected(side2, count)[1]:
+    if len(alike) < len(sig2):  # a signature is shared
+        order, sizes = _connected(side1, alike)
+        if keys2 is not keys1 and sizes != _connected(side2, alike)[1]:
             return None
         last = {g: k for k, (c, _) in enumerate(order) for g, _, _ in keys1[c]}
     due = [[] for _ in range(len(order) + 1)]  # due[k]: the pairs checked as step k starts
     for g, pair in enumerate(groups1):
         due[last.get(g, -1) + 1].append(pair)
-    alike = defaultdict(list)  # signature -> the second net's classes
-    for d, sig in enumerate(sig2):
-        alike[sig].append(d)
-    image = [alike[sig][0] if count[sig] == 1 else None for sig in sig1]  # class -> its image
+    image = [alike[sig][0] if len(alike[sig]) == 1 else None for sig in sig1]  # class -> its image
     beta = {b: e for m, d in zip(members1, image) if d is not None for b, e in zip(m, members2[d])}
     # the second net's classes that share a group with one of its classes, any signature
     near = _Table(lambda d: sorted({e for g, _, _ in keys2[d] for e in in_group2[g]}))
@@ -183,7 +182,7 @@ def _match(side1, side2, count, work):
                 yield extend(k + 1)
                 used.discard(d)
 
-    return (beta, images) if _depth_first(extend(0)) else None
+    return (image, beta, images) if _depth_first(extend(0)) else None
 
 
 def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
@@ -200,8 +199,7 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
         if len(n1.conditions) != len(n2.conditions) or len(n1.events) != len(n2.events):
             return None
         a, b = _signed(_side(n1), _side(n2))
-        count = Counter(a[3])
-        found = _match(a, b, count, work) if count == Counter(b[3]) else None
+        found = _match(a, b, work) if Counter(a[3]) == Counter(b[3]) else None
     finally:
         if tally is not None:
             tally.update({"seconds.are_isomorphic": perf_counter() - start,
@@ -210,7 +208,7 @@ def are_isomorphic(n1: PetriNet, n2: PetriNet) -> tuple[dict, dict] | None:
                           "inputs.events": len(n1.events) + len(n2.events)})
     if found is None:
         return None
-    beta, images = found
+    _, beta, images = found
     return beta, {e: f for pair, ids in a[0].items() for e, f in zip(ids, images[pair])}
 
 
@@ -223,12 +221,13 @@ def _orbits(branch, side, work):
     bounds, so k is tested only against the classes kept at its bound, by
     ``_match`` on two sides of the net where e and k, each on its own side,
     have a signature of their own; the net's signatures are built at the
-    first such test.  Each automorphism found joins orbits in a union-find
-    of classes.  Only the root is pruned: deeper, with the labeled classes
-    individualized too, every test refuted on cycles, whose labeled prefix
-    leaves no automorphism (C24: 25 443 matcher steps, not 24).  branch:
-    (bound, class, entries) by bound; side: the net's ``_side``."""
-    orbit, signed, twin_of = list(range(len(side[2]))), None, None
+    first such test.  The class map of each automorphism found joins each
+    class with its image in a union-find.  Only the root is pruned: deeper,
+    with the labeled classes individualized too, every test refuted on
+    cycles, whose labeled prefix leaves no automorphism (C24: 25 443 matcher
+    steps, not 24).  branch: (bound, class, entries) by bound; side: the
+    net's ``_side``."""
+    orbit, signed = list(range(len(side[2]))), None
 
     def find(c):
         while orbit[c] != c:
@@ -236,17 +235,17 @@ def _orbits(branch, side, work):
         return c
 
     def joined(e, k):
-        nonlocal signed, twin_of
+        nonlocal signed
         if signed is None:
-            (signed,), twin_of = _signed(side), {b: c for c, m in enumerate(side[2]) for b in m}
+            (signed,) = _signed(side)
         sigs = signed[3]
         if sigs[e] != sigs[k]:
             return False
         # e and k get -1, which is no signature of the table's
         own = [[-1 if d == c else sig for d, sig in enumerate(sigs)] for c in (e, k)]
-        found = _match(*((*signed[:3], sig, signed[4]) for sig in own), Counter(own[0]), work)
-        for b, image in found[0].items() if found else ():
-            orbit[find(twin_of[b])] = find(twin_of[image])
+        found = _match(*((*signed[:3], sig, signed[4]) for sig in own), work)
+        for c, d in enumerate(found[0]) if found else ():
+            orbit[find(c)] = find(d)
         return found is not None
 
     kept, level = [], None

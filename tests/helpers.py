@@ -5,16 +5,17 @@ int-limit skip marker.
 The oracles deliberately use different algorithms than the library so
 that agreement actually means something: isomorphism by exhaustive
 search over all condition bijections, the canonical polynomial as the
-least encoding over all labelings, the product net by a nested loop over
-event pairs, the attached net by one condition map per side,
-decomposability by a sweep over every support bipartition that looks for
-a complete rank-1 grid of coefficients, one factorization step by
-multiplying out the whole product at every block check, polynomial text
-by one regular expression per whole term rather than by splitting on
-separators, a net's JSON text as the document of dicts and lists
-that ``json.loads`` must give back, the encoding by one sum per event
-over its own conditions, and Winskel's morphisms by trying every partial
-map of conditions.
+least encoding over all labelings, and that of a product of two nets as
+the least product of its factors' least encodings over the splits of the
+labels, the product net by a nested loop over event pairs, the attached
+net by one condition map per side, decomposability by a sweep over every
+support bipartition that looks for a complete rank-1 grid of
+coefficients, one factorization step by multiplying out the whole
+product at every block check, polynomial text by one regular expression
+per whole term rather than by splitting on separators, a net's JSON text
+as the document of dicts and lists that ``json.loads`` must give back,
+the encoding by one sum per event over its own conditions, and Winskel's
+morphisms by trying every partial map of conditions.
 """
 
 import os
@@ -70,6 +71,29 @@ def canonical_oracle(net):
          for perm in permutations(range(len(conditions)))),
         key=Polynomial.sort_key,
     )
+
+
+def split_oracle(n1, n2):
+    """canonical_poly(product(n1, n2)) through the split of its labels: the
+    least min_S1(n1) * min_S2(n2) over the splits of {0, ..., n-1} into S1
+    and S2 of the factors' sizes, where min_S(net) is the least encoding of
+    net with labels exactly S, by brute force and memoised by (factor, S).
+    Exact since encode(N1 x N2) = encode(N1) * encode(N2) on disjoint
+    labelings and on disjoint label sets multiplying by a fixed polynomial
+    keeps the sort_key order; it walks C(n, |S1|) * (|S1|! + |S2|!)
+    labelings, not n!."""
+    n = len(n1.conditions) + len(n2.conditions)
+    least = {}
+
+    def min_on(net, labels):
+        if (net, labels) not in least:
+            ids = sorted(net.conditions)
+            least[net, labels] = min((encode(net, dict(zip(ids, perm))) for perm in permutations(labels)),
+                                     key=Polynomial.sort_key)
+        return least[net, labels]
+
+    return min((min_on(n1, s1) * min_on(n2, tuple(t for t in range(n) if t not in s1))
+                for s1 in combinations(range(n), len(n1.conditions))), key=Polynomial.sort_key)
 
 
 _ORACLE_POWER = r"\s*[xy](?:\s*\^\s*[0-9]+)?\s*"

@@ -160,6 +160,15 @@ def test_disjoint_product_is_carry_free(p, q):
     assert len(product.terms) == len(p.terms) * len(q.terms)
 
 
+@given(low_polys, low_polys, high_polys, high_polys)
+def test_product_by_a_fixed_polynomial_keeps_the_order(f, g, h, k):
+    """On disjoint label sets, f < g implies f*h < g*h in sort_key order,
+    the lemma behind ``helpers.split_oracle``: f and g on bits 0..3 times
+    h, and h and k on bits 4..7 times f."""
+    for a, b, fixed in [(f, g, h), (h, k, f)]:
+        assert (a < b, a == b) == (a * fixed < b * fixed, a * fixed == b * fixed)
+
+
 def assert_natural_terms(result):
     """The invariant of every Polynomial: keys are pairs of non-bool,
     nonnegative ints and coefficients are positive ints, which the

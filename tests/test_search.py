@@ -1,5 +1,5 @@
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import pytest
 
@@ -7,7 +7,7 @@ from petripoly import (Event, PetriNet, PreconditionError, are_isomorphic, canon
                        product, search)
 
 from helpers import (ROOK, SHRIKHANDE, canonical_oracle, check_scope, collected, cubic_net, cycle_net,
-                     is_valid_witness, relabeled_copy, sparse_net, twin_block_net, union,
+                     is_valid_witness, relabeled_copy, sparse_net, split_oracle, twin_block_net, union,
                      vertex_profiles)
 
 
@@ -117,6 +117,23 @@ def test_search_work_budget_is_per_call(monkeypatch):
     assert canonical_poly(c16) == canonical_poly(relabeled_copy(random.Random(16), c16))
 
 
+def test_canonical_poly_of_a_product_is_its_least_split():
+    """On products of two components with 8 to 10 conditions in all,
+    beyond ``canonical_oracle``'s n! labelings, ``canonical_poly`` is the
+    least product of the factors' least encodings over the splits of the
+    labels, as ``helpers.split_oracle`` finds it: a product of a net with
+    itself, of cycles, of sparse nets, and of a net with two components."""
+    rng = random.Random("split")
+    sparse5 = sparse_net(rng, 5, 5)
+    for n1, n2 in [(cycle_net(4, "a"), cycle_net(4, "b")), (sparse5, sparse5),
+                   (cycle_net(3, "a"), sparse_net(rng, 5, 6)), (sparse_net(rng, 4, 4), sparse_net(rng, 5, 4)),
+                   (union(cycle_net(2, "a"), cycle_net(2, "b")), sparse_net(rng, 4, 3)),
+                   (sparse_net(rng, 2, 2), sparse_net(rng, 6, 5))]:
+        net = product(n1, n2)
+        assert 8 <= len(net.conditions) <= 10
+        assert canonical_poly(net) == split_oracle(n1, n2)
+
+
 # ------------------------------------------------ automorphic root children
 
 def two_condition_component(rng, prefix):
@@ -156,9 +173,9 @@ def root_tests(net):
     tests, sizes = [], []
     match, orbits = search._match, search._orbits
 
-    def recorded_match(a, b, count, work):
-        found = match(a, b, count, work)
-        tests.append(found and found[0])
+    def recorded_match(a, b, work):
+        found = match(a, b, work)
+        tests.append(found and found[1])
         return found
 
     def recorded_orbits(branch, side, work):
@@ -219,19 +236,21 @@ def individualized(side, c):
 
 def test_automorphism_test_maps_an_individualized_class_onto_its_image():
     """``search._match`` on two signed sides of one net, class c
-    individualized on the first and class d on the second, returns a map
-    that sends c onto d, with the image of every (pre, post) pair, or None;
-    it finds one for every pair of classes of C6, and none from a cycle's
-    class onto a class of a different component size."""
+    individualized on the first and class d on the second, returns a class
+    map and a condition map that send c onto d, with the image of every
+    (pre, post) pair, or None; it finds one for every pair of classes of
+    C6, and none from a cycle's class onto a class of a different
+    component size."""
     for net, pairs in [(cycle_net(6, "c"), [(0, d) for d in range(6)]),
                        (union(cycle_net(3, "a"), cycle_net(4, "b")), [(0, 6)])]:
         (side,) = search._signed(search._side(net))
         members = side[2]
         for c, d in pairs:
             first, second = individualized(side, c), individualized(side, d)
-            found = search._match(first, second, Counter(first[3]), [0])
+            found = search._match(first, second, [0])
             if len(net.conditions) == 6:
-                beta, images = found
+                image, beta, images = found
+                assert image[c] == d
                 assert is_valid_witness(net, net, *witness_of(net, beta))
                 groups = side[0]
                 assert images == {(pre, post): groups[frozenset(map(beta.get, pre)),
