@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, _counters
 
 
 class _UsageError(Exception):
@@ -46,7 +46,9 @@ def _read_net_file(path):
 def _read_labeled_net(path):
     """The net and its labels, for encoding: labels 0, 1, ... by sorted id
     when the file has none, and a note and a warning on stderr for what the
-    encoding cannot show."""
+    encoding cannot show.  A used condition's label whose 2^label has more
+    digits than the int-string limit lets print is refused here, before
+    encoding builds that number; isolated conditions are never expanded."""
     from .net import isolated_conditions
     n, labels = _read_net_file(path)
     if labels is None:
@@ -55,6 +57,12 @@ def _read_labeled_net(path):
     dropped = sorted(isolated_conditions(n))
     if dropped:
         _note("warning: isolated conditions are invisible to the encoding: " + ", ".join(dropped))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        unprintable = (10 ** limit).bit_length()  # the least label with 2^label >= 10^limit
+        if any(labels[b] >= unprintable for b in n.conditions.difference(dropped)):
+            from .polynomial import _past_int_limit
+            raise _past_int_limit()
     return n, labels
 
 
@@ -212,6 +220,24 @@ def build_parser(verbs=_VERBS):
     return parser
 
 
+def _collect(handler, args):
+    """handler(args) with ``errors._counters`` set to a fresh Counter; then
+    its counts, and the verb's wall time as seconds.verb, go to stderr as
+    one JSON object, also when the handler raises.  Its imports are made
+    here, so that a run without ``--stats`` loads none of them."""
+    import json
+    from collections import Counter
+    from time import perf_counter
+    tally, start = Counter(), perf_counter()
+    token = _counters.set(tally)
+    try:
+        return handler(args)
+    finally:
+        _counters.reset(token)
+        tally["seconds.verb"] = perf_counter() - start
+        _note(json.dumps(tally, sort_keys=True))
+
+
 def run(argv=None) -> int:
     """Parse arguments, run the verb, print its lines; return the exit code."""
     if argv is None:
@@ -220,11 +246,7 @@ def run(argv=None) -> int:
     parser = build_parser({verb: _VERBS[verb]} if verb in _VERBS else _VERBS)
     try:
         args = parser.parse_args(argv)
-        if args.stats:
-            from ._stats import collect
-            lines = collect(args.handler, args, _note)
-        else:
-            lines = args.handler(args)
+        lines = _collect(args.handler, args) if args.stats else args.handler(args)
         if lines is None:
             return 1
         for line in lines:

@@ -26,6 +26,10 @@ from .polynomial import Polynomial, _past_int_limit
 
 __all__ = ["encode", "decode", "roundtrip_check"]
 
+# the most events decode builds: one per unit of a coefficient, so a few digits
+# of text could otherwise ask for any amount of memory
+_EVENTS = 1 << 20
+
 
 def encode(net: PetriNet, labeling: Labeling) -> Polynomial:
     """Polynomial of a labeled net: 1 + sum over events of x^i(e) y^j(e).
@@ -56,13 +60,16 @@ def decode(poly: Polynomial):
     A monomial x^i y^j with coefficient a yields a events (a - 1 for the
     constant monomial, whose remaining unit is the implicit idle event)
     with pre and post the bit positions of i and j, named "e<k>_(<i>,<j>)".
-    An exponent too long for the int-string limit cannot be named, and
-    raises :class:`PreconditionError`.
+    More than _EVENTS events (the sum of the coefficients less 1) raise
+    :class:`PreconditionError` before any is built, and so does, while they
+    are built, an exponent too long for the int-string limit to name.
     """
     if poly.constant_term < 1:
         raise PreconditionError(
             "decoding needs a positive constant term (there is no idle event)"
         )
+    if sum(poly.terms.values()) - 1 > _EVENTS:
+        raise PreconditionError(f"decoding would build more than {_EVENTS} events")
     labeling = {f"c{t}": t for t in poly.support()}
     condition_of = {1 << t: b for b, t in labeling.items()}
 

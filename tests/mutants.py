@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCH, NET, POLY = "src/petripoly/search.py", "src/petripoly/net.py", "src/petripoly/polynomial.py"
+CODEC, CLI = "src/petripoly/codec.py", "src/petripoly/cli.py"
 
 # name: (file, old text, new text, the tests that kill it)
 MUTANTS = {
@@ -69,6 +70,17 @@ MUTANTS = {
     "event-sides-unchecked": (
         NET, "        \"\".join(refs)\n", "        pass\n",
         ["tests/test_net.py::test_read_net_rejects_bad_documents"]),
+    "work-budget-halved": (
+        SEARCH, "_WORK = 3 << 23\n", "_WORK = 3 << 22\n",
+        ["tests/test_api.py::test_readme_limits_are_the_code_and_its_citations_exist"]),
+    # the killing tests stub what the mutant lets through, so no large allocation is made
+    "decoded-events-unbounded": (
+        CODEC, "    if sum(poly.terms.values()) - 1 > _EVENTS:\n", "    if False:\n",
+        ["tests/test_codec.py::test_decode_counts_its_events_before_it_builds_one"]),
+    "labels-unchecked": (
+        CLI, "        if any(labels[b] >= unprintable for b in n.conditions.difference(dropped)):\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_label_that_can_never_print_is_refused_before_encoding"]),
 }
 
 # name: (file, old text, new text, the tests it must pass, why it changes no result)

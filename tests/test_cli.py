@@ -1,10 +1,12 @@
 import ast
+import contextlib
 import io
 import json
 import os
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -184,8 +186,9 @@ def test_result_past_int_limit_exits_3(tmp_path, capsys, argv, content):
         ["decompose", "-p", "100000000000000000000000000319"],  # 30-digit prime
         # (10^19 + 51) * (2 * 10^19 + 11): rho would need about 10^9.5 steps
         ["decompose", "-p", "200000000000000001130000000000000000561"],
+        ["decode", "-p", "10000000*x + 1"],  # 10^7 events asked for in 14 characters
     ],
-    ids=["unprovable-prime-content", "rho-budget-content"],
+    ids=["unprovable-prime-content", "rho-budget-content", "decoded-events"],
 )
 def test_beyond_reach_exits_3_with_one_line(capsys, argv):
     assert run(argv) == 3
@@ -195,19 +198,73 @@ def test_beyond_reach_exits_3_with_one_line(capsys, argv):
     assert "Traceback" not in out.err
 
 
+@contextlib.contextmanager
+def int_limit(digits):
+    """The interpreter's int-string limit set to digits (0: none) inside
+    the block; on an interpreter without the limit, nothing changes."""
+    if INT_LIMIT == 0:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @pytest.mark.parametrize("label", [
     10**30,  # 1 << 10**30 overflows
     2**63,  # 1 << 2**63 is refused by the allocator at once: MemoryError
 ])
 @pytest.mark.parametrize("verb", ["encode", "decompose"])
 def test_label_too_large_to_encode_exits_3_with_one_line(tmp_path, capsys, verb, label):
+    """With no int-string limit the CLI's label check is off, and encode's
+    own guard refuses a shift it cannot make."""
     path = tmp_path / "net.json"
     net = PetriNet(["a", "b"], [Event("e", ["a"], ["b"])])
     path.write_text(write_net(net, {"a": 0, "b": label}), encoding="utf-8")
-    assert run([verb, str(path)]) == 3
+    with int_limit(0):
+        assert run([verb, str(path)]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: label of condition 'b' is too large to encode\n"
+
+
+@needs_int_limit
+@pytest.mark.parametrize("verb", ["encode", "decompose"])
+def test_label_that_can_never_print_is_refused_before_encoding(tmp_path, capsys, monkeypatch, verb):
+    """2^label has more digits than the int-string limit lets print from
+    label (10^limit).bit_length() up, 14 285 under the default limit of
+    4 300 digits, so the CLI refuses a used condition so labeled with that
+    limit's one line before it encodes: label 10^10 would build 1.25 GB.
+    Label 14 284 still encodes and prints, and an isolated condition's
+    label is never expanded, so none is refused."""
+    from petripoly import codec
+
+    def write(labels):
+        path = tmp_path / "net.json"
+        conditions = ["a", "b", *(["z"] if "z" in labels else [])]
+        path.write_text(write_net(PetriNet(conditions, [Event("e", ["a"], ["b"])]), labels),
+                        encoding="utf-8")
+        return str(path)
+
+    def no_encoding(*args):
+        raise AssertionError("the net was encoded")
+
+    with int_limit(sys.int_info.default_max_str_digits):
+        monkeypatch.setattr(codec, "encode", no_encoding)
+        for label in (10**10, 14285):
+            assert run([verb, write({"a": 0, "b": label})]) == 3
+            assert capsys.readouterr() == ("", "error: result holds a number longer than the "
+                                               "int-string limit of 4300 digits\n")
+        monkeypatch.undo()
+        labels = {"a": 0, "b": 14284, "z": 10**10}
+        assert run([verb, write(labels)]) == 0
+        out, err = capsys.readouterr()
+    (line,) = out.splitlines()
+    assert line == print_poly(Polynomial({(1, 1 << 14284): 1, (0, 0): 1}))
+    assert err == "warning: isolated conditions are invisible to the encoding: z\n"
 
 
 def test_mul_and_add(capsys):
@@ -420,6 +477,29 @@ def test_stats_of_iso_on_nets_of_different_sizes(relay_file, fork_file, capsys):
     stats = json.loads(err)
     assert out == "" and stats.pop("seconds.verb") >= 0 and stats.pop("seconds.are_isomorphic") >= 0
     assert stats == {"work.are_isomorphic": 0, "inputs.conditions": 5, "inputs.events": 4}
+
+
+def test_readme_stats_example(tmp_path, capsys):
+    """README's ``--stats`` example runs ``canon`` on the net of its "Net
+    JSON format" section: the polynomial it shows is what the CLI prints,
+    and its JSON object has the keys and, wall times aside, the counts
+    that the CLI writes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    net = readme.split("### Net JSON format", 1)[1].split("```json\n", 1)[1].split("\n```", 1)[0]
+    command = "$ petripoly --stats canon net.json\n"
+    shown, printed = readme.split(command, 1)[1].split("\n```", 1)[0].split("\n")
+    path = tmp_path / "net.json"
+    path.write_text(net, encoding="utf-8")
+    assert run(["--stats", "canon", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == printed + "\n"
+    counts, expected = json.loads(err), json.loads(shown)
+    assert sorted(counts) == sorted(expected)
+    for stats in (counts, expected):
+        for key in [key for key in stats if key.startswith("seconds.")]:
+            del stats[key]
+    assert counts == expected == {"dive.levels": 2, "inputs.conditions": 2, "inputs.events": 3,
+                                  "work.canonical_poly": 9}
 
 
 def test_canon_beyond_the_work_budget_exits_3_with_one_line(tmp_path):

@@ -14,6 +14,7 @@ from petripoly import (
     PreconditionError,
     are_isomorphic,
     canonical_poly,
+    codec,
     decode,
     decompose,
     encode,
@@ -168,6 +169,24 @@ def test_decode_single_consumer():
 def test_decode_requires_idle_event():
     for text in ("0", "x", "x^2 + y"):
         with pytest.raises(PreconditionError):
+            decode(parse_poly(text))
+
+
+def test_decode_counts_its_events_before_it_builds_one(monkeypatch):
+    """decode makes one event per unit of a coefficient, the idle unit
+    aside, so it sums the coefficients first: a polynomial of exactly
+    ``codec._EVENTS`` events decodes, and one of a single event more raises
+    PreconditionError naming the bound in force before any Event is made."""
+    monkeypatch.setattr(codec, "_EVENTS", 5)
+    net, _ = decode(parse_poly("2*x*y + 3*y + 1"))
+    assert len(net.events) == 5
+
+    def no_event(*args):
+        raise AssertionError("an event was built")
+
+    monkeypatch.setattr(codec, "Event", no_event)
+    for text in ("2*x*y + 3*y + 2", "2*x*y + 4*y + 1"):
+        with pytest.raises(PreconditionError, match="^decoding would build more than 5 events$"):
             decode(parse_poly(text))
 
 
